@@ -34,9 +34,8 @@ per-stage seams) is broken into
   per-access prefetch issue (minus its nested DRAM call);
 - **driver/other** — the remainder (trigger alignment, the loop).
 
-The fast (fused scalar) and batch (windowed compiled kernel) engine
-wall times print alongside: the buckets explain what those engines
-flatten.
+The batch engine's (compiled kernel) wall time prints alongside: the
+buckets explain what the kernel flattens.
 
 Usage::
 
@@ -106,20 +105,16 @@ def wrap_excluding(obj, name, bucket, inner_buckets):
 def profile_replay(trace, requests, prefetcher_name):
     """Replay buckets from one instrumented reference-engine run.
 
-    Returns ``(rows, reference_s, fast_s, batch_s)`` where ``rows``
+    Returns ``(rows, reference_s, batch_s)`` where ``rows``
     is ``[(bucket, calls, seconds), ...]`` summing (with the
     driver/other remainder) to ``reference_s``.
     """
     hierarchy = default_hierarchy()
 
-    def timed_engine(engine):
-        t0 = time.perf_counter()
-        simulate(trace, requests, config=hierarchy,
-                 prefetcher_name=prefetcher_name, engine=engine)
-        return time.perf_counter() - t0
-
-    batch_s = timed_engine("batch")
-    fast_s = timed_engine("fast")
+    t0 = time.perf_counter()
+    simulate(trace, requests, config=hierarchy,
+             prefetcher_name=prefetcher_name, engine="batch")
+    batch_s = time.perf_counter() - t0
 
     sim = Simulator(hierarchy, engine="reference")
     buckets = {name: Bucket()
@@ -147,7 +142,7 @@ def profile_replay(trace, requests, prefetcher_name):
     accounted = sum(seconds for _, _, seconds in rows)
     rows.append(("driver/other", len(trace),
                  max(0.0, reference_s - accounted)))
-    return rows, reference_s, fast_s, batch_s
+    return rows, reference_s, batch_s
 
 
 def stdp_fraction(queries) -> float:
@@ -255,14 +250,12 @@ def main() -> int:
     # -- replay-side buckets ---------------------------------------------
     replay_pf = make_prefetcher(args.prefetcher)
     requests = generate_prefetches(replay_pf, trace, args.budget)
-    replay_rows, reference_s, fast_s, batch_s = profile_replay(
+    replay_rows, reference_s, batch_s = profile_replay(
         trace, requests, args.prefetcher)
     print()
     print(f"replay of {args.prefetcher} prefetch file "
           f"({len(requests)} requests)")
     print(f"reference replay_s: {reference_s:.4f} (instrumented)")
-    print(f"fast replay_s:      {fast_s:.4f} "
-          f"({reference_s / fast_s:.2f}x vs instrumented reference)")
     print(f"batch replay_s:     {batch_s:.4f} "
           f"({reference_s / batch_s:.2f}x vs instrumented reference)")
     print()

@@ -8,7 +8,7 @@ Four subcommands, installed as the ``repro`` console script::
 
     repro run <workload> <prefetcher> [--loads N] [--seed S]
               [--budget B] [--hierarchy {scaled,full}]
-              [--engine {batch,fast,reference}]
+              [--engine {batch,reference}]
               [--events-out e.jsonl] [--metrics-out m.json]
               [--series [--series-window N]]
         Run one prefetcher on one workload and print IPC / accuracy /
@@ -132,7 +132,7 @@ from .resilience import (
     set_default_checkpoint,
     set_default_policy,
 )
-from .sim.simulator import HierarchyConfig
+from .sim.simulator import ENGINES, HierarchyConfig
 from .traces import WORKLOAD_NAMES, make_trace
 from .traces.trace import save_trace
 
@@ -276,22 +276,18 @@ def _check_engine_flags(args: argparse.Namespace) -> str:
     ``--engine`` defaults to ``None`` so an *explicit* ``batch`` is
     distinguishable from the implicit default: the default quietly
     resolves to "batch" and lets the simulator downgrade (with an
-    :class:`~repro.errors.EngineFallbackWarning`) when tracing or
-    fault injection needs a slower engine, but a user who typed
-    ``--engine batch`` alongside ``--events-out`` / ``--inject-faults``
-    asked for two incompatible things at once — that is a
-    :class:`~repro.errors.ConfigError`, not a silent downgrade.
+    :class:`~repro.errors.EngineFallbackWarning`) when event tracing
+    needs the reference loop, but a user who typed ``--engine batch``
+    alongside ``--events-out`` asked for two incompatible things at
+    once — that is a :class:`~repro.errors.ConfigError`, not a silent
+    downgrade.
     """
-    if args.engine == "batch":
-        for flag, value in (("--events-out", args.events_out),
-                            ("--inject-faults", args.inject_faults)):
-            if value:
-                raise ConfigError(
-                    f"--engine batch is incompatible with {flag}: "
-                    "the batch kernel cannot emit per-access events or "
-                    "host fault points; drop --engine to let the "
-                    "simulator pick a compatible engine, or request "
-                    "--engine fast / reference explicitly")
+    if args.engine == "batch" and args.events_out:
+        raise ConfigError(
+            "--engine batch is incompatible with --events-out: the "
+            "batch kernel cannot emit per-access events; drop --engine "
+            "to let the simulator pick a compatible engine, or request "
+            "--engine reference explicitly")
     return args.engine or "batch"
 
 
@@ -530,7 +526,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                                  ("prefetch_file_s", "replay_s",
                                   "replay_reference_s")})
             finish_run(ledger, time.perf_counter() - start, status=status)
-    engine = report.get("replay_engine", "fast")
+    engine = report["replay_engine"]
     rows = [["trace_gen", "-", f"{report['trace_gen_s']:.3f}s"],
             [f"baseline_replay ({engine})", "-",
              f"{report['baseline_replay_s']:.3f}s"],
@@ -897,18 +893,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--hierarchy", choices=("scaled", "full"),
                        default="scaled",
                        help="scaled (default) or full paper Table-3 caches")
-    p_run.add_argument("--engine", choices=("batch", "fast", "reference"),
+    p_run.add_argument("--engine", choices=ENGINES,
                        default=None,
                        help="replay engine; results are bit-identical. "
-                            "'batch' (the default) plans windows over "
+                            "'batch' (the default) plans the replay over "
                             "the trace columns and runs a compiled "
-                            "kernel, 'fast' is the fused scalar loop, "
-                            "'reference' is the readable slow loop. "
-                            "An explicit 'batch' combined with "
-                            "--events-out or --inject-faults is a "
-                            "config error (those need a slower "
-                            "engine); leave --engine off to let the "
-                            "simulator downgrade with a warning.")
+                            "kernel, 'reference' is the readable slow "
+                            "loop. An explicit 'batch' combined with "
+                            "--events-out is a config error (events "
+                            "need the reference loop); leave --engine "
+                            "off to let the simulator downgrade with a "
+                            "warning.")
     p_run.add_argument("--encoder-cache", type=int, default=None,
                        metavar="N",
                        help="LRU capacity of PATHFINDER's pixel-encoding "

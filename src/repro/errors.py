@@ -86,13 +86,14 @@ class SimulationError(ReproError):
 class EngineFallbackWarning(UserWarning):
     """A replay engine request was downgraded to a compatible engine.
 
-    Emitted by :class:`repro.sim.simulator.Simulator` when the
-    requested engine cannot serve the configuration (event tracing,
-    non-LRU replacement, armed fault injection) and a slower engine
-    runs instead.  A warning, not an error: results are bit-identical
-    across engines, only wall-clock changes — but silent downgrades
-    made benchmark numbers lie, so the downgrade is now visible and
-    filterable.  ``Simulator.engine_used`` reports what actually ran.
+    Emitted when a ``batch`` replay runs the reference loop instead:
+    by :class:`repro.sim.simulator.Simulator` for event tracing or
+    non-LRU replacement, and by the batch driver when no replay kernel
+    is available or the trace cannot be planned for it.  A warning,
+    not an error: results are bit-identical across engines, only
+    wall-clock changes — but silent downgrades made benchmark numbers
+    lie, so the downgrade is visible and filterable.
+    ``Simulator.engine_used`` reports what actually ran.
     """
 
 

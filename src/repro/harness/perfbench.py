@@ -8,16 +8,20 @@ all three at fixed seeds and writes a schema-versioned JSON report
 (``BENCH_perf.json`` at the repo root) so a slowdown shows up as a
 reviewable diff rather than an anecdote.
 
-Replay is timed under **all three** engines (see docs/architecture.md,
-"Replay engines"): ``replay_s`` is the batch windowed engine that
-``repro run`` uses by default (``replay_batch_s`` is the same
-measurement under its explicit name — the key the ``--stats``
-significance gate matches across reports), ``replay_fast_s`` is the
-fused scalar loop, ``replay_reference_s`` is the readable reference
-loop, and ``replay_speedup`` is reference over headline.  Because each
-prefetch file is replayed under all three, every bench run doubles as
-a parity check — the engines' :class:`~repro.sim.metrics.SimResult`
-values must be bit-identical or the bench aborts.
+Replay is timed under both engines (see docs/architecture.md, "Replay
+engines"): ``replay_s`` is the batch engine that ``repro run`` uses by
+default (``replay_batch_s`` is the same measurement under its explicit
+name — the key the ``--stats`` significance gate matches across
+reports), ``replay_reference_s`` is the readable reference loop, and
+``replay_speedup`` is reference over headline.  Because each prefetch
+file is replayed under both, every bench run doubles as a parity
+check — the engines' :class:`~repro.sim.metrics.SimResult` values must
+be bit-identical or the bench aborts.
+
+Reports written before the ``fast`` engine was removed also carry
+``replay_fast_s`` / ``baseline_replay_fast_s`` and may name
+``replay_engine: "fast"``; :func:`validate_bench` and the compare
+layer still read them, and nothing writes them any more.
 
 Timings use the min over ``repeats`` runs (the least-noisy estimator
 for wall-clock benchmarks); everything else in the report — speedup,
@@ -76,9 +80,14 @@ SMALL_PREFETCHERS = ("nextline", "spp", "pathfinder")
 SMALL_N_ACCESSES = 1500
 
 _PHASE_KEYS = ("prefetch_file_s", "replay_s", "replay_reference_s")
-#: Keys newer reports carry that committed v2/v3 baselines predate;
-#: validated only when present so old baselines keep loading.
+#: Keys not every committed v2/v3 report carries — ``replay_batch_s``
+#: postdates some, and the read-only ``replay_fast_s`` timing of the
+#: removed ``fast`` engine is in older ones; validated only when present
+#: so old baselines keep loading.
 _OPTIONAL_PHASE_KEYS = ("replay_batch_s", "replay_fast_s")
+_OPTIONAL_TOP_KEYS = ("baseline_replay_batch_s", "baseline_replay_fast_s")
+#: Every engine a report may name, including the removed ``fast``.
+_REPORT_ENGINES = ("batch", "reference", "fast")
 _REQUIRED_TOP = ("schema_version", "workload", "n_accesses", "seed",
                  "budget", "repeats", "environment", "replay_engine",
                  "trace_gen_s", "baseline_replay_s",
@@ -105,7 +114,7 @@ def run_bench(prefetchers: Sequence[str] = DEFAULT_PREFETCHERS,
     Returns the report dict (see module docstring); it always passes
     :func:`validate_bench`.
 
-    Raises :class:`~repro.errors.SimulationError` if the fast and
+    Raises :class:`~repro.errors.SimulationError` if the batch and
     reference engines ever disagree on a replay result.
     """
     if repeats < 1:
@@ -143,24 +152,21 @@ def _run_bench_timed(prefetchers: Sequence[str], workload: str,
         trace = make_trace(workload, n_accesses, seed=seed)
         trace_gen_s.append(time.perf_counter() - start)
 
-    baseline_batch_s, baseline_fast_s, baseline_ref_s = [], [], []
+    baseline_batch_s, baseline_ref_s = [], []
     baseline = None
     for _ in range(repeats):
         batch_s, baseline = _timed_replay(trace, (), hierarchy, "none",
                                           "batch")
-        fast_s, fast_baseline = _timed_replay(trace, (), hierarchy, "none",
-                                              "fast")
         ref_s, ref_baseline = _timed_replay(trace, (), hierarchy, "none",
                                             "reference")
-        if baseline != fast_baseline or baseline != ref_baseline:
+        if baseline != ref_baseline:
             raise SimulationError(
                 "engine parity violation on the no-prefetch baseline")
         baseline_batch_s.append(batch_s)
-        baseline_fast_s.append(fast_s)
         baseline_ref_s.append(ref_s)
     assert baseline is not None
 
-    cell_keys = _PHASE_KEYS + _OPTIONAL_PHASE_KEYS
+    cell_keys = _PHASE_KEYS + ("replay_batch_s",)
     per_prefetcher: Dict[str, Dict] = {}
     for name in prefetchers:
         samples: Dict[str, list] = {key: [] for key in cell_keys}
@@ -178,11 +184,9 @@ def _run_bench_timed(prefetchers: Sequence[str], workload: str,
             # ``replay_batch_s`` re-states the headline under the
             # engine-explicit key the significance gate matches on.
             timings["replay_batch_s"] = timings["replay_s"]
-            timings["replay_fast_s"], fast_result = _timed_replay(
-                trace, requests, hierarchy, name, "fast")
             timings["replay_reference_s"], ref_result = _timed_replay(
                 trace, requests, hierarchy, name, "reference")
-            if result != fast_result or result != ref_result:
+            if result != ref_result:
                 raise SimulationError(
                     f"engine parity violation replaying {name!r}")
             for key in cell_keys:
@@ -193,7 +197,6 @@ def _run_bench_timed(prefetchers: Sequence[str], workload: str,
             "prefetch_file_s": best["prefetch_file_s"],
             "replay_s": best["replay_s"],
             "replay_batch_s": best["replay_batch_s"],
-            "replay_fast_s": best["replay_fast_s"],
             "replay_reference_s": best["replay_reference_s"],
             "replay_speedup": (best["replay_reference_s"] / best["replay_s"]
                                if best["replay_s"] > 0 else 0.0),
@@ -224,14 +227,12 @@ def _run_bench_timed(prefetchers: Sequence[str], workload: str,
         "trace_gen_s": min(trace_gen_s),
         "baseline_replay_s": min(baseline_batch_s),
         "baseline_replay_batch_s": min(baseline_batch_s),
-        "baseline_replay_fast_s": min(baseline_fast_s),
         "baseline_replay_reference_s": min(baseline_ref_s),
         #: v3: per-repeat samples behind the top-level minima.
         "samples": {
             "trace_gen_s": trace_gen_s,
             "baseline_replay_s": baseline_batch_s,
             "baseline_replay_batch_s": baseline_batch_s,
-            "baseline_replay_fast_s": baseline_fast_s,
             "baseline_replay_reference_s": baseline_ref_s,
         },
         "prefetchers": per_prefetcher,
@@ -265,15 +266,13 @@ def validate_bench(report: Dict) -> None:
         raise ConfigError(
             f"perf report schema_version {report['schema_version']!r} not in "
             f"supported {SUPPORTED_SCHEMA_VERSIONS}")
-    if report["replay_engine"] not in ("batch", "fast", "reference"):
+    if report["replay_engine"] not in _REPORT_ENGINES:
         raise ConfigError(
             f"perf report replay_engine {report['replay_engine']!r} unknown")
     top_timings = ["trace_gen_s", "baseline_replay_s",
                    "baseline_replay_reference_s"]
-    # Batch-era keys: required only of reports that claim them.
-    top_timings += [key for key in ("baseline_replay_batch_s",
-                                    "baseline_replay_fast_s")
-                    if key in report]
+    # Optional keys: required only of reports that claim them.
+    top_timings += [key for key in _OPTIONAL_TOP_KEYS if key in report]
     for key in top_timings:
         value = report[key]
         if not isinstance(value, (int, float)) or value < 0:
@@ -288,8 +287,7 @@ def validate_bench(report: Dict) -> None:
                           ("trace_gen_s", "baseline_replay_s",
                            "baseline_replay_reference_s"),
                           repeats, "top-level")
-        optional_top = [key for key in ("baseline_replay_batch_s",
-                                        "baseline_replay_fast_s")
+        optional_top = [key for key in _OPTIONAL_TOP_KEYS
                         if isinstance(top_samples, dict)
                         and key in top_samples]
         _validate_samples(top_samples, optional_top, repeats, "top-level")
@@ -361,9 +359,9 @@ def compare_bench(report: Dict, baseline: Dict,
     """Compare a fresh report's headline replay times to a baseline.
 
     ``replay_s`` is compared under each report's own headline engine
-    (batch for new reports, fast for committed pre-batch baselines) —
-    the gate asks "did the default path get slower", not "did one
-    engine change".
+    (batch for new reports; older ones may name the removed ``fast``
+    engine) — the gate asks "did the default path get slower", not
+    "did one engine change".
 
     Returns a list of human-readable regression messages (empty =
     pass).  A timing regresses per :func:`timing_regression`.  Reports

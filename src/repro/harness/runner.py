@@ -274,10 +274,10 @@ def run_prefetcher(trace: Trace, prefetcher: Prefetcher,
         sim = Simulator(hierarchy, obs=obs, engine=engine)
         result = sim.run(trace, requests, prefetcher.name)
     timings["replay_s"] = time.perf_counter() - start
-    if engine == "batch":
+    if sim.engine_used == "batch":
         # The engine-explicit alias ``repro compare --stats`` pairs on;
-        # only batch-engine ledgers carry it, so comparisons against
-        # pre-batch artifacts degrade to the shared ``replay_s`` key.
+        # only replays the kernel actually ran carry it, so a fallback
+        # timing never lands under the batch key.
         timings["replay_batch_s"] = timings["replay_s"]
     extras: Dict[str, object] = {"engine_used": sim.engine_used}
     if obs.series is not None:
@@ -417,13 +417,12 @@ class Evaluation:
     #: Optional observability bundle threaded through trace generation,
     #: baseline replay, and every prefetcher run.
     obs: Optional[Observability] = None
-    #: Replay engine for every simulation in the grid ("batch", "fast"
-    #: or "reference"); results are bit-identical, only wall-clock
-    #: differs.  The batch default also amortizes the trace's derived
-    #: columns across the whole lineup: every cell replays the same
-    #: cached :class:`~repro.types.Trace`, so the monotone flag,
-    #: first-touch masks and set indices are computed once per
-    #: workload, not once per cell.
+    #: Replay engine for every simulation in the grid ("batch" or
+    #: "reference"); results are bit-identical, only wall-clock
+    #: differs.  The batch default also amortizes the trace's columns
+    #: across the whole lineup: every cell replays the same cached
+    #: :class:`~repro.types.Trace`, so its columns and monotone flag
+    #: are derived once per workload, not once per cell.
     engine: str = "batch"
     #: Retry/timeout/degradation policy for ``run_cells``.  ``None``
     #: falls back to the ambient default (set by the CLI's ``--retries``

@@ -175,113 +175,3 @@ class SetAssociativeCache:
     def occupancy(self) -> int:
         """Number of blocks currently resident."""
         return sum(len(s.lines) for s in self._sets.values())
-
-
-class ArrayCache:
-    """Array-of-sets LRU cache — the fast replay engine's levels.
-
-    Semantically identical to :class:`SetAssociativeCache` with ``lru``
-    replacement (same hit/miss/useful/evicted accounting, same victim
-    choice), but all line state lives in one preallocated flat array of
-    per-set dicts: ``sets[block & mask]`` maps each resident block to
-    its prefetched-and-not-yet-demanded bit, in LRU order (least
-    recently touched first).
-
-    CPython dicts preserve insertion order, so the whole LRU protocol
-    is three O(1) C-level operations with no per-line objects, no
-    policy indirection, and no way scans:
-
-    - *touch* — ``del d[block]; d[block] = bit`` re-appends the key;
-    - *insert* — ``d[block] = bit``;
-    - *evict* — ``next(iter(d))`` is the least-recently-used block.
-
-    (A flat stamp/tag/pf-bit array layout with ``min``-scan victim
-    selection was prototyped first and measured 2–5x slower here: in
-    CPython the O(ways) victim scan per insert costs far more than the
-    dict's ordered-eviction bookkeeping, which runs entirely in C.
-    Flat numpy columns still back the *trace* side — see
-    :class:`repro.types.TraceArrays`.)
-
-    The replay fast path (:mod:`repro.sim.fast_engine`) hoists ``sets``
-    into loop locals and inlines these operations; the methods here
-    serve setup, tests, and any colder caller.
-
-    Only ``lru`` replacement is supported — the simulator falls back to
-    the reference engine for ``srrip`` configs.
-    """
-
-    __slots__ = ("config", "_index_mask", "_ways", "sets", "hits",
-                 "misses", "prefetch_fills", "useful_prefetches",
-                 "evicted_unused_prefetches")
-
-    def __init__(self, config: CacheConfig):
-        if config.replacement != "lru":
-            raise ConfigError(
-                f"{config.name}: ArrayCache supports only lru replacement "
-                f"(got {config.replacement!r})")
-        self.config = config
-        self._index_mask = config.sets - 1
-        self._ways = config.ways
-        #: Per-set LRU state: block → pf bit, least recently used first.
-        self.sets: list = [{} for _ in range(config.sets)]
-        self.hits = 0
-        self.misses = 0
-        self.prefetch_fills = 0
-        self.useful_prefetches = 0
-        self.evicted_unused_prefetches = 0
-
-    def lookup(self, block: int, update: bool = True) -> bool:
-        """Demand-probe for ``block``; same contract as the reference."""
-        lines = self.sets[block & self._index_mask]
-        if block not in lines:
-            if update:
-                self.misses += 1
-            return False
-        if update:
-            self.hits += 1
-            if lines[block]:
-                self.useful_prefetches += 1
-            del lines[block]
-            lines[block] = 0
-        return True
-
-    def contains(self, block: int) -> bool:
-        """Non-destructive presence check (no stats, no LRU update)."""
-        return block in self.sets[block & self._index_mask]
-
-    def insert(self, block: int, prefetched: bool = False) -> Optional[int]:
-        """Install ``block``; returns the evicted block number, if any."""
-        lines = self.sets[block & self._index_mask]
-        if block in lines:
-            # Refresh LRU position; a demand re-insert clears the pf
-            # bit, a prefetched re-insert leaves it as-is.
-            bit = lines[block] if prefetched else 0
-            del lines[block]
-            lines[block] = bit
-            return None
-        victim_block: Optional[int] = None
-        lines[block] = 1 if prefetched else 0
-        if len(lines) > self._ways:
-            victim_block = next(iter(lines))
-            if lines.pop(victim_block):
-                self.evicted_unused_prefetches += 1
-        if prefetched:
-            self.prefetch_fills += 1
-        return victim_block
-
-    def invalidate(self, block: int) -> bool:
-        """Remove ``block`` if present; returns whether it was resident."""
-        return self.sets[block & self._index_mask].pop(block, None) is not None
-
-    def reset_stats(self) -> None:
-        """Zero all counters without touching cache contents."""
-        self.hits = 0
-        self.misses = 0
-        self.prefetch_fills = 0
-        self.useful_prefetches = 0
-        self.evicted_unused_prefetches = 0
-
-    @property
-    def occupancy(self) -> int:
-        """Number of blocks currently resident."""
-        return sum(len(lines) for lines in self.sets)

@@ -3,19 +3,17 @@
 The replay recurrence — dispatch cursor, ROB drain, MSHR/DRAM heaps,
 prefetch fills — is sequential by nature: each access's timing depends
 on the previous one's, so no NumPy expression can vectorize it without
-changing results.  What *can* change is the cost per step: the scalar
-loop pays Python interpreter dispatch on every probe and heap
-operation.  This module compiles a C transcription of
-:func:`repro.sim.fast_engine.scalar.replay_fast`'s prefetching loop
-(which subsumes the prefetch-free loop: with no prefetch state every
-prefetch branch is unreachable) and binds it through :mod:`ctypes`,
-following the :mod:`repro.snn.ckernel` build machinery.
+changing results.  What *can* change is the cost per step: the
+reference loop (:meth:`repro.sim.simulator.Simulator._replay_reference`)
+pays Python interpreter dispatch on every probe, method call and heap
+operation.  This module compiles a C transcription of that loop and
+binds it through :mod:`ctypes`; building and loading go through
+:mod:`repro._cbuild`, shared with :mod:`repro.snn.ckernel`.
 
 Bit-identity contract
 ---------------------
 The C code performs exactly the same IEEE-754 double operations in the
-same order as the scalar loop, which itself mirrors the reference
-engine:
+same order as the reference loop:
 
 - ``dispatch += gap / width`` uses one correctly-rounded double
   division, like Python's int/int true division;
@@ -28,35 +26,34 @@ engine:
   ``issue`` is never negative);
 - the ``done = dispatch + (completion - dispatch)`` float round trip
   is kept verbatim;
+- the DRAM read queue is a completion-time min-heap: the reference's
+  back-pressure rule only observes the count and the minimum of the
+  outstanding completions, so a heap returns the same completion
+  cycles as the reference's rebuilt list;
 - the prefetch completion heap holds (completion, block) pairs with
   Python's tuple ordering, and the heap routines port ``heapq``'s
   exact sift algorithms so ties in completion cycles pop in the same
   order as the Python heap (pop order determines LLC fill order,
   which determines LRU state);
 - per-set LRU state is a block array in recency order, front =
-  least recent — exactly the insertion-order dict discipline of
-  :class:`repro.sim.cache.ArrayCache`;
+  least recent — the same victim choice as
+  :class:`repro.sim.cache.SetAssociativeCache` under ``lru``;
 - compiled with ``-ffp-contract=off -fno-fast-math`` so no FMA
   contraction or reassociation can change results.
 
 If no compiler is available (or ``REPRO_NO_SIMKERNEL=1`` is set) the
-batch engine transparently falls back to the scalar loop — slower,
-never wrong.  Compiled objects share the snn kernel's cache directory
-(``$REPRO_CKERNEL_CACHE``), keyed by a hash of source and compiler.
+batch engine runs the reference loop instead, with an
+:class:`~repro.errors.EngineFallbackWarning` — slower, never wrong.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import sys
 from typing import Optional
 
 import numpy as np
 
-from ...snn.ckernel import CFLAGS, _cache_dir, _find_compiler
+from ..._cbuild import KernelLoader
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -228,7 +225,7 @@ static void map_insert(int64_t *keys, int64_t *vals, int64_t mask,
     vals[i] = val;
 }
 
-/* ---- per-set LRU arrays (ArrayCache dict discipline) ------------- */
+/* ---- per-set LRU arrays (front = least recently used) ----------- */
 /* Each set is a block array in recency order, index 0 = least
  * recent; sets are strided ways+1 wide so an insert can land before
  * the over-capacity eviction, like the dict it mirrors. */
@@ -683,10 +680,6 @@ SERIES_FIELDS = (
     "dram_requests", "dram_wait", "dram_queue_len",
 )
 
-_kernel: Optional["ReplayKernel"] = None
-_kernel_tried = False
-
-
 class ReplayKernel:
     """ctypes binding of the compiled replay kernel."""
 
@@ -719,8 +712,8 @@ class ReplayKernel:
         """Run one full replay; returns counters, cursors, and waits.
 
         ``config`` is a :class:`repro.sim.simulator.HierarchyConfig`.
-        All state is kernel-local (caches assumed cold, prefetch state
-        empty — the batch driver checks both).  With ``series_window``
+        All state is kernel-local and starts cold, as a fresh
+        :class:`~repro.sim.simulator.Simulator`'s does.  With ``series_window``
         > 0, ``out["series"]`` holds one cumulative-counter row per
         window (:data:`SERIES_FIELDS` columns) — pure observation, the
         replay itself is unchanged.
@@ -799,53 +792,16 @@ class ReplayKernel:
         return out
 
 
-def _compile(cc: str) -> Optional[str]:
-    tag = hashlib.sha256(
-        (C_SOURCE + "\0" + cc + "\0" + " ".join(CFLAGS)
-         + "\0" + sys.version).encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = os.path.join(cache, f"replay_{tag}.so")
-    if os.path.exists(so_path):
-        return so_path
-    try:
-        os.makedirs(cache, exist_ok=True)
-        src_path = os.path.join(cache, f"replay_{tag}.c")
-        tmp_so = os.path.join(cache, f"replay_{tag}.{os.getpid()}.tmp.so")
-        with open(src_path, "w") as fh:
-            fh.write(C_SOURCE)
-        proc = subprocess.run(
-            [cc, *CFLAGS, src_path, "-o", tmp_so],
-            capture_output=True, timeout=120)
-        if proc.returncode != 0:
-            return None
-        os.replace(tmp_so, so_path)  # atomic: concurrent compiles race safely
-        return so_path
-    except (OSError, subprocess.SubprocessError):
-        return None
+_loader = KernelLoader(C_SOURCE, prefix="replay",
+                       disable_env="REPRO_NO_SIMKERNEL", bind=ReplayKernel)
 
 
 def load_kernel() -> Optional[ReplayKernel]:
     """The process-wide compiled replay kernel, or ``None``.
 
     Compiles on first call (cached on disk afterwards).  Returns
-    ``None`` — and the batch engine falls back to the scalar loop —
+    ``None`` — and the batch engine falls back to the reference loop —
     when ``REPRO_NO_SIMKERNEL=1``, no C compiler is on PATH, or
     compilation/loading fails for any reason.
     """
-    global _kernel, _kernel_tried
-    if _kernel_tried:
-        return _kernel
-    _kernel_tried = True
-    if os.environ.get("REPRO_NO_SIMKERNEL") == "1":
-        return None
-    cc = _find_compiler()
-    if cc is None:
-        return None
-    so_path = _compile(cc)
-    if so_path is None:
-        return None
-    try:
-        _kernel = ReplayKernel(ctypes.CDLL(so_path))
-    except OSError:
-        _kernel = None
-    return _kernel
+    return _loader.load()

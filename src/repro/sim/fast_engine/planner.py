@@ -2,7 +2,7 @@
 
 ``engine="batch"`` splits each replay into a *plan* (derived once from
 the trace columns and the prefetch file, no simulator state involved)
-and an *execution* (the compiled kernel or the scalar loop).  The plan
+and an *execution* (the compiled kernel or the reference loop).  The plan
 captures three things:
 
 1. **Eligibility** — whether the compiled kernel's preconditions hold.
@@ -10,7 +10,7 @@ captures three things:
    a ring buffer), non-negative block numbers (C ``%`` differs from
    Python's on negatives), and ids small enough that every derived
    cycle count stays well inside the 2^53 window where ``double``
-   holds integers exactly.  Ineligible plans run on the scalar loop —
+   holds integers exactly.  Ineligible plans run on the reference loop —
    slower, never wrong.
 
 2. **Trigger alignment** — the per-access prefetch lists flattened to
@@ -44,7 +44,7 @@ import numpy as np
 
 from ...types import TraceArrays
 
-#: Instruction ids above this bound fall back to the scalar loop: the
+#: Instruction ids above this bound fall back to the reference loop: the
 #: kernel mixes cycle integers into ``double`` arithmetic, and keeping
 #: ids (and therefore every derived dispatch/completion value for any
 #: realistic trace) far below 2^53 makes that mixing exact.
@@ -83,7 +83,7 @@ class ReplayPlan(NamedTuple):
     def windows(self) -> List[Window]:
         """The window tiling of ``[0, n)``, materialized on demand."""
         if not self.kernel_eligible and self.n > 0:
-            # Unplannable replays run the scalar loop end to end: one
+            # Unplannable replays run the reference loop end to end: one
             # coupled window, timing sequential throughout.
             return [Window(0, self.n, "coupled")]
         return segment_windows(self.n, self.trigger_positions)

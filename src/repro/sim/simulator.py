@@ -16,17 +16,15 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigError, EngineFallbackWarning, SimulationError
 from ..obs import Counter, Observability
-from ..resilience.faults import active as _faults_active
 from ..types import PrefetchRequest, Trace
-from .cache import ArrayCache, CacheConfig, SetAssociativeCache
+from .cache import CacheConfig, SetAssociativeCache
 from .cpu import CoreConfig, TimingCore
-from .dram import DramConfig, DramModel, FlatDram
-from .fast_engine import replay_batch, replay_fast, replay_windowed
-from .fast_engine.windowed import REPLAY_QUEUE_GAUGE, REPLAY_SERIES_NAMES
+from .dram import DramConfig, DramModel
+from .fast_engine import REPLAY_QUEUE_GAUGE, REPLAY_SERIES_NAMES, replay_batch
 from .metrics import SimResult
 
 #: Replay engines accepted by :class:`Simulator` and :func:`simulate`.
-ENGINES = ("batch", "fast", "reference")
+ENGINES = ("batch", "reference")
 
 
 @dataclass(frozen=True)
@@ -87,26 +85,25 @@ class Simulator:
     ``run.begin``/``run.end`` events.  With the default disabled
     bundle the replay loop pays only a handful of boolean checks.
 
-    Three replay engines produce bit-identical results (enforced by
+    Two replay engines produce bit-identical results (enforced by
     ``tests/test_replay_parity.py``):
 
-    - ``"batch"`` (default) — the planned columnar replay in
-      :mod:`repro.sim.fast_engine.batch`: cached trace columns, window
-      segmentation, and a compiled C kernel for the sequential
-      recurrence, falling back to the fused scalar loop per plan;
-    - ``"fast"`` — the flat-array scalar loop in
-      :mod:`repro.sim.fast_engine` over :class:`~repro.sim.cache.ArrayCache`
-      levels and :class:`~repro.sim.dram.FlatDram`;
-    - ``"reference"`` — the straightforward per-object loop below, kept
-      as the readable specification and parity oracle.
+    - ``"batch"`` (default) — :func:`repro.sim.fast_engine.replay_batch`
+      plans the replay from the trace columns and runs it on a
+      compiled C kernel, then writes the kernel's counters back into
+      this simulator's cache/DRAM state;
+    - ``"reference"`` — the straightforward per-object loop below
+      (:meth:`_replay_reference`), kept as the readable specification,
+      the parity oracle, and the batch engine's only fallback.
 
-    The batch and fast engines cover LRU replacement and metrics-level
-    observability; requesting per-event tracing or an ``srrip`` level
-    falls back to the reference engine, and ``"batch"`` under armed
-    fault injection falls back to ``"fast"``.  Every downgrade emits a
-    typed :class:`~repro.errors.EngineFallbackWarning` (``engine_used``
-    tells which engine ran), so callers can always ask for the fastest
-    engine and still see when they did not get it.
+    The kernel covers LRU replacement and metrics-level observability:
+    per-event tracing or an ``srrip`` level resolves ``"batch"`` to
+    ``"reference"`` here, and the batch driver itself runs the
+    reference loop when no kernel can be built or the trace cannot be
+    planned for it.  Every downgrade emits a typed
+    :class:`~repro.errors.EngineFallbackWarning` and sets
+    ``engine_used``, so callers can always ask for the fastest engine
+    and still see when they did not get it.
     """
 
     def __init__(self, config: Optional[HierarchyConfig] = None,
@@ -118,42 +115,25 @@ class Simulator:
         self.config = config or HierarchyConfig()
         self.obs = obs if obs is not None else Observability.disabled()
         self._trace_events = self.obs.tracer.enabled
-        # Resolve the engine: the batch/fast loops have no
-        # event-tracing hooks and only implement LRU, so those
-        # configurations run on the reference engine; the batch plan
-        # additionally steps aside while fault injection is armed
-        # (fault plans corrupt traces and state mid-replay — the
-        # scalar loop is the proven path for chaos runs).
-        fallback_reason = None
+        # The kernel has no event-tracing hooks and only implements
+        # LRU, so those configurations run on the reference engine.
         non_lru = (self.config.l1d.replacement != "lru"
                    or self.config.l2.replacement != "lru"
                    or self.config.llc.replacement != "lru")
-        if engine in ("batch", "fast") and (self._trace_events or non_lru):
-            fallback_reason = ("event tracing is enabled"
-                               if self._trace_events
-                               else "a non-LRU replacement policy is "
-                                    "configured")
-            engine = "reference"
-        elif engine == "batch" and _faults_active() is not None:
-            fallback_reason = "fault injection is armed"
-            engine = "fast"
-        if fallback_reason is not None:
+        if engine == "batch" and (self._trace_events or non_lru):
+            reason = ("event tracing is enabled" if self._trace_events
+                      else "a non-LRU replacement policy is configured")
             warnings.warn(EngineFallbackWarning(
-                f"replay engine downgraded to {engine!r}: "
-                f"{fallback_reason}"), stacklevel=2)
+                f"replay engine downgraded to 'reference': {reason}"),
+                stacklevel=2)
+            engine = "reference"
         self.engine_requested = engine
-        #: The engine that will actually run (after fallback).
+        #: The engine that ran (the batch driver may still fall back).
         self.engine_used = engine
-        if engine in ("batch", "fast"):
-            self.l1d = ArrayCache(self.config.l1d)
-            self.l2 = ArrayCache(self.config.l2)
-            self.llc = ArrayCache(self.config.llc)
-            self.dram = FlatDram(self.config.dram)
-        else:
-            self.l1d = SetAssociativeCache(self.config.l1d)
-            self.l2 = SetAssociativeCache(self.config.l2)
-            self.llc = SetAssociativeCache(self.config.llc)
-            self.dram = DramModel(self.config.dram)
+        self.l1d = SetAssociativeCache(self.config.l1d)
+        self.l2 = SetAssociativeCache(self.config.l2)
+        self.llc = SetAssociativeCache(self.config.llc)
+        self.dram = DramModel(self.config.dram)
         self.core = TimingCore(self.config.core)
         # Typed drop counter (always live — drops are rare, so this
         # costs nothing on the hot path); mirrored into the registry
@@ -311,9 +291,7 @@ class Simulator:
                                  loads=len(trace))
 
         # Windowed series collection (``--series``): one recorder per
-        # replay, fed cumulative counters at window boundaries.  With
-        # no collector armed — the default — every engine runs its
-        # series-free path untouched.
+        # replay, fed cumulative counters at window boundaries.
         recorder = None
         if self.obs.series is not None:
             recorder = self.obs.series.recorder(
@@ -321,26 +299,9 @@ class Simulator:
                 trace=trace.name)
 
         if self.engine_used == "batch":
-            replay_batch(self, trace, by_trigger, result,
-                         recorder=recorder)
-        elif self.engine_used == "fast":
-            if recorder is not None:
-                replay_windowed(self, trace, by_trigger, result, recorder)
-            else:
-                replay_fast(self, trace, by_trigger, result)
-        elif recorder is not None:
-            self._run_reference_windowed(trace, by_trigger, result,
-                                         recorder)
+            replay_batch(self, trace, by_trigger, result, recorder)
         else:
-            for acc in trace:
-                dispatch = self.core.dispatch_load(acc.instr_id)
-                self._drain_completed_prefetches(dispatch)
-                latency = self._demand_access(acc.block, dispatch, result)
-                self.core.complete_load(acc.instr_id, dispatch + latency)
-                for block in by_trigger.get(acc.instr_id, ()):
-                    self._issue_prefetch(block, dispatch, result,
-                                         trigger=acc.instr_id)
-            result.cycles = self.core.finalize(trace.instruction_count)
+            self._replay_reference(trace, by_trigger, result, recorder)
 
         # Account prefetched lines that were demanded after install.
         result.pf_useful += self.llc.useful_prefetches
@@ -353,22 +314,20 @@ class Simulator:
         self._publish_metrics(trace, prefetcher_name, result)
         return result
 
-    def _run_reference_windowed(self, trace: Trace,
-                                by_trigger: Dict[int, List[int]],
-                                result: SimResult, recorder) -> None:
-        """The reference loop plus window-boundary series samples.
+    def _replay_reference(self, trace: Trace,
+                          by_trigger: Dict[int, List[int]],
+                          result: SimResult, recorder=None) -> None:
+        """The reference replay loop; sets ``result``'s counters and cycles.
 
-        Identical arithmetic to the un-instrumented loop in
-        :meth:`run` — the only additions are an access index and a
-        cumulative-counter snapshot at each window boundary, so the
-        :class:`SimResult` stays bit-identical with and without
-        ``--series`` (pinned by the parity suite).
+        With a :class:`~repro.obs.timeseries.WindowRecorder`, each
+        window boundary also records a snapshot of the cumulative
+        counters.  That is pure observation: the :class:`SimResult`
+        is bit-identical with and without ``--series``.
         """
-        window = recorder.window
+        window = recorder.window if recorder is not None else 0
         n = len(trace)
-        next_boundary = min(window, n)
-        i = 0
-        for acc in trace:
+        next_boundary = min(window, n) if window else -1
+        for i, acc in enumerate(trace, 1):
             dispatch = self.core.dispatch_load(acc.instr_id)
             self._drain_completed_prefetches(dispatch)
             latency = self._demand_access(acc.block, dispatch, result)
@@ -376,21 +335,23 @@ class Simulator:
             for block in by_trigger.get(acc.instr_id, ()):
                 self._issue_prefetch(block, dispatch, result,
                                      trigger=acc.instr_id)
-            i += 1
             if i == next_boundary:
-                recorder.sample(i, cumulative=dict(zip(
-                    REPLAY_SERIES_NAMES,
-                    (self.l1d.hits, self.l1d.misses,
-                     self.l2.hits, self.l2.misses,
-                     self.llc.hits, self.llc.misses,
-                     self.llc.useful_prefetches,
-                     result.pf_issued, result.pf_late,
-                     self._pf_dropped.value,
-                     self.dram.requests, self.dram.total_wait_cycles))),
-                    gauges={REPLAY_QUEUE_GAUGE: self.dram.queue_len(
-                        int(dispatch))})
+                self._sample_window(recorder, i, result)
                 next_boundary = min(next_boundary + window, n)
         result.cycles = self.core.finalize(trace.instruction_count)
+
+    def _sample_window(self, recorder, end: int, result: SimResult) -> None:
+        """Record the cumulative replay counters at a window boundary."""
+        recorder.sample(end, cumulative=dict(zip(
+            REPLAY_SERIES_NAMES,
+            (self.l1d.hits, self.l1d.misses,
+             self.l2.hits, self.l2.misses,
+             self.llc.hits, self.llc.misses,
+             self.llc.useful_prefetches,
+             result.pf_issued, result.pf_late,
+             self._pf_dropped.value,
+             self.dram.requests, self.dram.total_wait_cycles))),
+            gauges={REPLAY_QUEUE_GAUGE: self.dram.queue_len})
 
     def _publish_metrics(self, trace: Trace, prefetcher_name: str,
                          result: SimResult) -> None:

@@ -31,24 +31,18 @@ sums — the parity suites assert end-to-end identical prefetch files).
 
 If no compiler is available (or ``REPRO_NO_CKERNEL=1`` is set) the
 batch path transparently falls back to the scalar NumPy hot path —
-slower, never wrong.  Compiled objects are cached under
-``$REPRO_CKERNEL_CACHE`` (default: a ``repro-ckernel`` directory in
-the system temp dir) keyed by a hash of the source and compiler, so
-each environment compiles once.
+slower, never wrong.  Compiling, caching and loading are
+:mod:`repro._cbuild`'s job (``$REPRO_CKERNEL_CACHE``).
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import sys
-import tempfile
 from typing import Optional
 
 import numpy as np
+
+from .._cbuild import KernelLoader
 
 #: C translation of the one-tick fast path.  Kept as a string (not a
 #: data file) so the module is self-contained under any packaging.
@@ -254,18 +248,9 @@ int64_t pf_tick_window(
 }
 """
 
-#: Compiler flags: IEEE-strict.  ``-ffp-contract=off`` forbids FMA
-#: contraction, ``-fno-fast-math`` forbids reassociation — both would
-#: break bit-identity with the NumPy scalar path.
-CFLAGS = ["-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off"]
-
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _INT64_P = ctypes.POINTER(ctypes.c_int64)
 _UINT8_P = ctypes.POINTER(ctypes.c_uint8)
-
-_kernel: Optional["TickKernel"] = None
-_kernel_tried = False
-
 
 class TickKernel:
     """ctypes binding of the compiled one-tick window kernel."""
@@ -326,48 +311,9 @@ class TickKernel:
         )
 
 
-def _find_compiler() -> Optional[str]:
-    cc = os.environ.get("CC")
-    if cc:
-        return shutil.which(cc)
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-def _cache_dir() -> str:
-    configured = os.environ.get("REPRO_CKERNEL_CACHE")
-    if configured:
-        return configured
-    return os.path.join(tempfile.gettempdir(),
-                        f"repro-ckernel-{os.getuid() if hasattr(os, 'getuid') else 'u'}")
-
-
-def _compile(cc: str) -> Optional[str]:
-    tag = hashlib.sha256(
-        (C_SOURCE + "\0" + cc + "\0" + " ".join(CFLAGS)
-         + "\0" + sys.version).encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = os.path.join(cache, f"tick_{tag}.so")
-    if os.path.exists(so_path):
-        return so_path
-    try:
-        os.makedirs(cache, exist_ok=True)
-        src_path = os.path.join(cache, f"tick_{tag}.c")
-        tmp_so = os.path.join(cache, f"tick_{tag}.{os.getpid()}.tmp.so")
-        with open(src_path, "w") as fh:
-            fh.write(C_SOURCE)
-        proc = subprocess.run(
-            [cc, *CFLAGS, src_path, "-o", tmp_so, "-lm"],
-            capture_output=True, timeout=120)
-        if proc.returncode != 0:
-            return None
-        os.replace(tmp_so, so_path)  # atomic: concurrent compiles race safely
-        return so_path
-    except (OSError, subprocess.SubprocessError):
-        return None
+_loader = KernelLoader(C_SOURCE, prefix="tick",
+                       disable_env="REPRO_NO_CKERNEL", bind=TickKernel,
+                       link_flags=("-lm",))
 
 
 def load_kernel() -> Optional[TickKernel]:
@@ -378,20 +324,4 @@ def load_kernel() -> Optional[TickKernel]:
     loop — when ``REPRO_NO_CKERNEL=1``, no C compiler is on PATH, or
     compilation/loading fails for any reason.
     """
-    global _kernel, _kernel_tried
-    if _kernel_tried:
-        return _kernel
-    _kernel_tried = True
-    if os.environ.get("REPRO_NO_CKERNEL") == "1":
-        return None
-    cc = _find_compiler()
-    if cc is None:
-        return None
-    so_path = _compile(cc)
-    if so_path is None:
-        return None
-    try:
-        _kernel = TickKernel(ctypes.CDLL(so_path))
-    except OSError:
-        _kernel = None
-    return _kernel
+    return _loader.load()

@@ -112,28 +112,24 @@ class PrefetchRequest:
 class TraceArrays:
     """Struct-of-arrays view of a trace (``int64`` numpy columns).
 
-    The replay fast path iterates instruction ids and block numbers
-    tens of thousands of times per grid cell; pulling them out of
-    ``MemoryAccess`` objects costs an attribute lookup plus a property
-    call per field per access.  This view materialises the columns
-    once — after that, iteration, slicing, and pickling to pool
-    workers touch only flat arrays.
+    The batch replay planner and the batched prefetch-file pipeline
+    consume whole columns; pulling them out of ``MemoryAccess``
+    objects costs an attribute lookup plus a property call per field
+    per access.  This view materialises the columns once — after that,
+    slicing and pickling to pool workers touch only flat arrays.
 
     Attributes:
         instr_ids / pcs / addresses / blocks: One ``int64`` array per
             column, all the same length, in program order.
 
-    Beyond the raw columns, the view caches the replay-derived
-    columns the batch engine's planner needs — the monotonicity flag,
-    the per-block first-touch mask, and per-level set indices — so a
-    lineup run (baseline + N prefetchers, repeated per seed) derives
-    each of them once per trace rather than once per replay.
+    Beyond the raw columns, the view caches the monotonicity flag the
+    batch engine's planner checks, so a lineup run (baseline + N
+    prefetchers, repeated per seed) derives it once per trace rather
+    than once per replay.
     """
 
     __slots__ = ("instr_ids", "pcs", "addresses", "blocks",
-                 "_instr_id_list", "_block_list",
-                 "_monotone", "_first_touch", "_first_touch_list",
-                 "_set_index")
+                 "_instr_id_list", "_monotone")
 
     def __init__(self, accesses: Sequence[MemoryAccess]):
         n = len(accesses)
@@ -145,11 +141,7 @@ class TraceArrays:
             (a.address for a in accesses), dtype=np.int64, count=n)
         self.blocks = self.addresses >> BLOCK_BITS
         self._instr_id_list: Optional[List[int]] = None
-        self._block_list: Optional[List[int]] = None
         self._monotone: Optional[bool] = None
-        self._first_touch: Optional[np.ndarray] = None
-        self._first_touch_list: Optional[List[bool]] = None
-        self._set_index: dict = {}
 
     @classmethod
     def from_columns(cls, instr_ids: np.ndarray, pcs: np.ndarray,
@@ -161,11 +153,7 @@ class TraceArrays:
         view.addresses = np.ascontiguousarray(addresses, dtype=np.int64)
         view.blocks = view.addresses >> BLOCK_BITS
         view._instr_id_list = None
-        view._block_list = None
         view._monotone = None
-        view._first_touch = None
-        view._first_touch_list = None
-        view._set_index = {}
         return view
 
     def __len__(self) -> int:
@@ -177,54 +165,18 @@ class TraceArrays:
             self._instr_id_list = self.instr_ids.tolist()
         return self._instr_id_list
 
-    def block_list(self) -> List[int]:
-        """Block numbers as a cached plain-int list (loop-friendly)."""
-        if self._block_list is None:
-            self._block_list = self.blocks.tolist()
-        return self._block_list
-
-    # -- derived replay columns (computed once, reused lineup-wide) ------
-
     def monotone(self) -> bool:
         """Whether instruction ids are strictly increasing.
 
-        Gates searchsorted trigger alignment (fast engine) and the
-        compiled batch kernel; non-monotone traces take the dict-probe
-        scalar path in both.
+        Gates the compiled batch kernel: its ROB is a ring buffer and
+        its trigger alignment is a searchsorted pass, so non-monotone
+        traces run on the reference loop.
         """
         if self._monotone is None:
             ids = self.instr_ids
             self._monotone = bool(len(ids) == 0
                                   or np.all(np.diff(ids) > 0))
         return self._monotone
-
-    def first_touch_mask(self) -> np.ndarray:
-        """Boolean column marking the first access to each block.
-
-        On a cold start a first touch cannot hit any cache level, so
-        these accesses are assured misses regardless of replay timing —
-        the classification the prefetch-free fast path and the batch
-        planner both consume.
-        """
-        if self._first_touch is None:
-            mask = np.zeros(len(self.blocks), dtype=bool)
-            mask[np.unique(self.blocks, return_index=True)[1]] = True
-            self._first_touch = mask
-        return self._first_touch
-
-    def first_touch_list(self) -> List[bool]:
-        """The first-touch mask as a cached plain-bool list."""
-        if self._first_touch_list is None:
-            self._first_touch_list = self.first_touch_mask().tolist()
-        return self._first_touch_list
-
-    def set_index(self, n_sets: int) -> np.ndarray:
-        """Cache-set index column for a power-of-two ``n_sets``."""
-        column = self._set_index.get(n_sets)
-        if column is None:
-            column = self.blocks & np.int64(n_sets - 1)
-            self._set_index[n_sets] = column
-        return column
 
 
 @dataclass

@@ -4,11 +4,12 @@ quarantine, torn queue appends, and the bit-identical resume invariant.
 These drive real worker processes, so the grids are tiny (a couple of
 cells at ~1200 loads); every assertion about metrics is exact equality —
 each cell is an independent seeded run, so a campaign interrupted and
-resumed (or degraded batch→fast by armed faults) must reproduce the
-uninterrupted campaign's ledger numbers bit for bit.
+resumed (or run with armed faults) must reproduce the uninterrupted
+campaign's ledger numbers bit for bit.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -67,28 +68,27 @@ def test_worker_crash_is_retried_bit_identically(tmp_path):
                if record["outcome"] == "retried"]
     assert crashed, "the killed cell must be recorded as retried"
     for key, record in chaos.items():
-        # Armed faults downgrade every worker cell batch→fast; the
-        # engines are replay-parity-tested, so metrics still match the
-        # clean batch run exactly.
-        assert record["engine_used"] == "fast"
+        # Armed faults leave the batch engine in place (no fault point
+        # fires inside replay), so metrics match the clean run exactly.
+        assert record["engine_used"] == "batch"
         assert clean[key]["engine_used"] == "batch"
         assert record["metrics"] == clean[key]["metrics"]
 
 
-def test_armed_faults_downgrade_engine_with_warning_in_serial(tmp_path):
-    # The same batch→fast downgrade the leased workers perform must
-    # happen (with its EngineFallbackWarning) in the serial in-process
-    # path — and land in the ledger's engine_used — so campaign cells
-    # behave identically wherever they execute.
+def test_armed_faults_keep_batch_engine_in_serial(tmp_path):
+    # Armed faults must not move the serial in-process path off the
+    # batch engine either — no downgrade, no EngineFallbackWarning —
+    # so campaign cells behave identically wherever they execute.
     spec = chaos_spec(workers=0, prefetchers=("nextline",))
-    directory = tmp_path / "fallback"
+    directory = tmp_path / "armed"
     campaign = Campaign.create(directory, spec,
                                fault_spec="prefetcher.access:rate=0.0")
-    with pytest.warns(EngineFallbackWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EngineFallbackWarning)
         result = campaign.run(echo=lambda _line: None)
     assert result["finished"]
     (record,) = ledger_cells_by_key(directory).values()
-    assert record["engine_used"] == "fast"
+    assert record["engine_used"] == "batch"
     clean = next(iter(run_clean_reference(tmp_path, spec).values()))
     assert clean["engine_used"] == "batch"
     assert record["metrics"] == clean["metrics"]

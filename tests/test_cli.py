@@ -51,16 +51,30 @@ def test_run_engine_batch_explicit(capsys):
 
 @pytest.mark.parametrize("extra", [
     ["--events-out", "e.jsonl"],
-    ["--inject-faults", "prefetcher.access:p=0"],
 ])
 def test_run_engine_batch_with_incompatible_flag_is_config_error(
         tmp_path, capsys, extra, monkeypatch):
-    """An *explicit* --engine batch combined with flags that force a
-    slower engine must exit 2 with a config error, not downgrade."""
+    """An *explicit* --engine batch combined with a flag that forces
+    the reference engine must exit 2 with a config error, not
+    downgrade."""
     monkeypatch.chdir(tmp_path)  # --events-out writes relative to cwd
     assert main(["run", "cc-5", "nextline", "--loads", "400",
                  "--engine", "batch"] + extra) == 2
     assert "incompatible" in capsys.readouterr().out
+
+
+def test_run_engine_batch_hosts_fault_injection(capsys):
+    """Armed faults no longer need another engine: an explicit
+    --engine batch with --inject-faults runs."""
+    assert main(["run", "cc-5", "nextline", "--loads", "400",
+                 "--engine", "batch",
+                 "--inject-faults", "prefetcher.access:p=0"]) == 0
+    assert "speedup" in capsys.readouterr().out
+
+
+def test_run_engine_fast_is_rejected():
+    with pytest.raises(SystemExit):
+        main(["run", "cc-5", "nextline", "--engine", "fast"])
 
 
 def test_run_default_engine_downgrades_with_warning(tmp_path, capsys):

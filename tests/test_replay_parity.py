@@ -1,14 +1,13 @@
-"""Cross-engine parity: every replay engine must be bit-identical.
+"""Cross-engine parity: the batch engine must be bit-identical to the
+reference loop.
 
-The fast engine (``repro.sim.fast_engine.scalar``) re-implements the
-reference replay loop with inlined flat state, and the batch engine
-(``repro.sim.fast_engine.batch``) re-implements it again as a columnar
-window plan executed by a compiled kernel; their only permitted
-difference is wall-clock time.  These tests replay the same (trace,
-prefetch file) under all engines for every registered prefetcher
-across three behaviourally distinct workloads and require the *entire*
-:class:`~repro.sim.metrics.SimResult` — cycles included, to the last
-float bit — to match.
+The batch engine (``repro.sim.fast_engine.batch``) re-implements the
+reference replay loop as a columnar plan executed by a compiled C
+kernel; its only permitted difference is wall-clock time.  These tests
+replay the same (trace, prefetch file) under both engines for every
+registered prefetcher across three behaviourally distinct workloads
+and require the *entire* :class:`~repro.sim.metrics.SimResult` —
+cycles included, to the last float bit — to match.
 """
 
 from __future__ import annotations
@@ -21,7 +20,8 @@ from repro.errors import ConfigError, EngineFallbackWarning
 from repro.obs import MemorySink, Observability, Tracer
 from repro.prefetchers.base import generate_prefetches
 from repro.sim.cache import CacheConfig
-from repro.sim.simulator import HierarchyConfig, Simulator, simulate
+from repro.sim.fast_engine import batch as batch_module
+from repro.sim.simulator import ENGINES, HierarchyConfig, Simulator, simulate
 from repro.traces.workloads import make_trace
 from repro.harness.runner import PREFETCHER_FACTORIES, default_hierarchy
 
@@ -31,8 +31,20 @@ PARITY_WORKLOADS = ("cc-5", "471-omnetpp-s1", "605-mcf-s1")
 N_ACCESSES = 2500
 SEED = 11
 
+needs_kernel = pytest.mark.skipif(
+    batch_module.load_kernel() is None,
+    reason="no C compiler available for the replay kernel")
+
+#: The two parity legs of every cell.  ``fast``: the compiled kernel —
+#: the fast path — must actually run, so the suite can never pass by
+#: comparing the reference loop with itself.  ``batch``: the batch
+#: engine as callers get it — the kernel, or its reference fallback
+#: under ``REPRO_NO_SIMKERNEL=1`` (CI runs the suite both ways).
+PARITY_LEGS = (pytest.param("fast", marks=needs_kernel), "batch")
+
 _trace_cache = {}
 _request_cache = {}
+_reference_cache = {}
 
 
 def _trace(workload: str):
@@ -49,27 +61,38 @@ def _requests(workload: str, prefetcher: str):
     return _request_cache[key]
 
 
-@pytest.mark.parametrize("engine", ("fast", "batch"))
+def _reference(workload: str, prefetcher: str):
+    key = (workload, prefetcher)
+    if key not in _reference_cache:
+        requests = (_requests(workload, prefetcher)
+                    if prefetcher != "none" else ())
+        _reference_cache[key] = simulate(
+            _trace(workload), requests, default_hierarchy(), prefetcher,
+            engine="reference")
+    return _reference_cache[key]
+
+
+def _replay_leg(leg: str, trace, requests, name: str):
+    sim = Simulator(default_hierarchy(), engine="batch")
+    result = sim.run(trace, requests, name)
+    if leg == "fast":
+        assert sim.engine_used == "batch", "the replay kernel did not run"
+    return result
+
+
+@pytest.mark.parametrize("engine", PARITY_LEGS)
 @pytest.mark.parametrize("workload", PARITY_WORKLOADS)
 @pytest.mark.parametrize("prefetcher", sorted(PREFETCHER_FACTORIES))
 def test_engines_bit_identical(workload, prefetcher, engine):
-    trace = _trace(workload)
-    requests = _requests(workload, prefetcher)
-    reference = simulate(trace, requests, default_hierarchy(),
-                         prefetcher, engine="reference")
-    candidate = simulate(trace, requests, default_hierarchy(),
-                         prefetcher, engine=engine)
-    assert candidate == reference
+    candidate = _replay_leg(engine, _trace(workload),
+                            _requests(workload, prefetcher), prefetcher)
+    assert candidate == _reference(workload, prefetcher)
 
 
-@pytest.mark.parametrize("engine", ("fast", "batch"))
+@pytest.mark.parametrize("engine", PARITY_LEGS)
 def test_engines_bit_identical_without_prefetches(engine):
-    trace = _trace("cc-5")
-    reference = simulate(trace, (), default_hierarchy(), "none",
-                         engine="reference")
-    candidate = simulate(trace, (), default_hierarchy(), "none",
-                         engine=engine)
-    assert candidate == reference
+    candidate = _replay_leg(engine, _trace("cc-5"), (), "none")
+    assert candidate == _reference("cc-5", "none")
 
 
 def test_batch_engine_is_the_default():
@@ -80,15 +103,28 @@ def test_batch_engine_is_the_default():
 def test_unknown_engine_rejected():
     with pytest.raises(ConfigError):
         Simulator(default_hierarchy(), engine="turbo")
+    with pytest.raises(ConfigError, match="batch.*reference"):
+        Simulator(default_hierarchy(), engine="fast")
 
 
-@pytest.mark.parametrize("engine", ("fast", "batch"))
+def _fallback_warnings(caught):
+    return [w for w in caught
+            if issubclass(w.category, EngineFallbackWarning)]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_srrip_config_falls_back_to_reference(engine):
+    """An srrip level runs the reference loop; only a ``batch`` request
+    is a downgrade, and it says why."""
     config = HierarchyConfig(
         llc=CacheConfig(name="LLC", sets=128, ways=16, latency=20,
                         replacement="srrip"))
-    with pytest.warns(EngineFallbackWarning, match="non-LRU"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         sim = Simulator(config, engine=engine)
+    downgrades = _fallback_warnings(caught)
+    assert len(downgrades) == (engine == "batch")
+    assert all("non-LRU" in str(w.message) for w in downgrades)
     assert sim.engine_requested == "reference"
     assert sim.engine_used == "reference"
     # And the run still works end to end.
@@ -96,41 +132,50 @@ def test_srrip_config_falls_back_to_reference(engine):
     assert result.llc_misses > 0
 
 
-@pytest.mark.parametrize("engine", ("fast", "batch"))
+@pytest.mark.parametrize("engine", ENGINES)
 def test_event_tracing_falls_back_to_reference(engine):
     obs = Observability(tracer=Tracer(MemorySink()))
-    with pytest.warns(EngineFallbackWarning, match="event tracing"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         sim = Simulator(default_hierarchy(), obs=obs, engine=engine)
+    downgrades = _fallback_warnings(caught)
+    assert len(downgrades) == (engine == "batch")
+    assert all("event tracing" in str(w.message) for w in downgrades)
     assert sim.engine_used == "reference"
 
 
-def test_armed_faults_downgrade_batch_to_fast():
-    """The batch kernel cannot host fault points; the scalar loop can.
-    The downgrade is typed and visible, never silent."""
-    from repro.resilience.faults import FaultPlan, injected
+@needs_kernel
+def test_armed_faults_keep_batch_bit_identical():
+    """No fault point fires inside replay, so armed faults leave the
+    batch kernel in place — silently — and bit-identical to the
+    reference on a ``trace.corrupt`` trace."""
+    from repro.resilience.faults import FaultPlan, corrupt_trace, injected
 
-    plan = FaultPlan.parse("prefetcher.access:p=0", seed=3)
-    with injected(plan):
-        with pytest.warns(EngineFallbackWarning, match="fault injection"):
-            sim = Simulator(default_hierarchy(), engine="batch")
-        assert sim.engine_used == "fast"
-        # "fast" under faults needs no downgrade and must stay silent.
+    with injected(FaultPlan.parse("trace.corrupt:frac=0.05", seed=2)):
+        trace = corrupt_trace(make_trace("605-mcf-s1", N_ACCESSES,
+                                         seed=SEED))
+        assert trace != _trace("605-mcf-s1"), "the fault must fire"
+        requests = generate_prefetches(PREFETCHER_FACTORIES["spp"](), trace)
         with warnings.catch_warnings():
             warnings.simplefilter("error", EngineFallbackWarning)
-            assert Simulator(default_hierarchy(),
-                             engine="fast").engine_used == "fast"
+            sim = Simulator(default_hierarchy(), engine="batch")
+            batch = sim.run(trace, requests, "spp")
+        reference = simulate(trace, requests, default_hierarchy(), "spp",
+                             engine="reference")
+    assert sim.engine_used == "batch"
+    assert batch == reference
 
 
 def test_compatible_requests_warn_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error", EngineFallbackWarning)
-        for engine in ("batch", "fast", "reference"):
+        for engine in ENGINES:
             assert Simulator(default_hierarchy(),
                              engine=engine).engine_used == engine
 
 
 def test_metrics_observability_parity():
-    """Metrics-only observability stays on the fast engine and mirrors
+    """Metrics-only observability stays on the batch engine and mirrors
     the same counters and DRAM wait histogram as the reference."""
     trace = _trace("471-omnetpp-s1")
     requests = _requests("471-omnetpp-s1", "nextline")
@@ -141,18 +186,17 @@ def test_metrics_observability_parity():
         result = sim.run(trace, requests, "nextline")
         return sim, result, obs.registry.snapshot()
 
-    fast_sim, fast_result, fast_metrics = run("fast")
+    batch_sim, batch_result, batch_metrics = run("batch")
     ref_sim, ref_result, ref_metrics = run("reference")
-    assert fast_sim.engine_used == "fast"
     assert ref_sim.engine_used == "reference"
-    assert fast_result == ref_result
-    assert fast_metrics == ref_metrics
+    assert batch_result == ref_result
+    assert batch_metrics == ref_metrics
 
 
-# -- chunked-classification edge cases ----------------------------------------
+# -- trigger-alignment edge cases ---------------------------------------------
 #
-# The fast engine precomputes trigger alignment and assured-miss
-# classification before the loop; these tests pin the fallback rules.
+# The batch planner aligns prefetch triggers to trace positions before
+# the kernel runs; these tests pin its edge cases against the reference.
 
 from repro.types import MemoryAccess, PrefetchRequest, Trace  # noqa: E402
 
@@ -160,12 +204,9 @@ from repro.types import MemoryAccess, PrefetchRequest, Trace  # noqa: E402
 def _both_engines(trace, requests):
     reference = simulate(trace, requests, default_hierarchy(), "t",
                          engine="reference")
-    fast = simulate(trace, requests, default_hierarchy(), "t",
-                    engine="fast")
     batch = simulate(trace, requests, default_hierarchy(), "t",
                      engine="batch")
-    assert batch == reference
-    return fast, reference
+    return batch, reference
 
 
 def test_triggers_missing_from_trace_are_ignored():
@@ -181,15 +222,15 @@ def test_triggers_missing_from_trace_are_ignored():
                                 address=(1 << 21 | 1) << 6),
                 PrefetchRequest(trigger_instr_id=99_999,   # past the end
                                 address=(1 << 21 | 2) << 6)]
-    fast, reference = _both_engines(trace, requests)
-    assert fast == reference
-    assert fast.pf_issued == 1
+    batch, reference = _both_engines(trace, requests)
+    assert batch == reference
+    assert batch.pf_issued == 1
 
 
 def test_non_monotone_instr_ids_take_dict_fallback():
     """Duplicate/regressing instruction ids disable searchsorted
     trigger alignment; each duplicate re-issues its list, as the
-    scalar dict probe did."""
+    reference loop's dict probe does."""
     ids = [10, 20, 20, 15, 30, 40, 40, 50]
     accesses = [MemoryAccess(instr_id=i, pc=0x4,
                              address=(1 << 20 | k) << 6)
@@ -199,14 +240,14 @@ def test_non_monotone_instr_ids_take_dict_fallback():
                                 address=(1 << 21) << 6),
                 PrefetchRequest(trigger_instr_id=40,
                                 address=(1 << 21 | 1) << 6)]
-    fast, reference = _both_engines(trace, requests)
-    assert fast == reference
+    batch, reference = _both_engines(trace, requests)
+    assert batch == reference
 
 
 def test_assured_miss_blocks_that_are_prefetch_targets_stay_scalar():
-    """Prefetching replays never classify assured misses — the
-    in-flight/LLC checks must still run on a first-touch block so a
-    timely prefetch converts it into an LLC hit."""
+    """A first-touch block that is also a prefetch target still goes
+    through the in-flight/LLC checks, so a timely prefetch converts it
+    into an LLC hit."""
     blocks = [1 << 20 | k for k in range(48)]
     # Re-demand the prefetched block late enough for the fill to land.
     target = 1 << 21
@@ -216,9 +257,9 @@ def test_assured_miss_blocks_that_are_prefetch_targets_stay_scalar():
     trace = Trace(name="t", accesses=accesses,
                   total_instructions=len(accesses) * 10 + 1)
     requests = [PrefetchRequest(trigger_instr_id=10, address=target << 6)]
-    fast, reference = _both_engines(trace, requests)
-    assert fast == reference
-    assert fast.pf_useful >= 1
+    batch, reference = _both_engines(trace, requests)
+    assert batch == reference
+    assert batch.pf_useful >= 1
 
 
 # -- batch-engine window planner ----------------------------------------------
@@ -227,7 +268,6 @@ def test_assured_miss_blocks_that_are_prefetch_targets_stay_scalar():
 # at prefetch trigger points.  These tests pin the planner's invariants
 # on its edge cases and the driver's fallback behaviour.
 
-from repro.sim.fast_engine import batch as batch_module  # noqa: E402
 from repro.sim.fast_engine.planner import (  # noqa: E402
     MAX_KERNEL_INSTR_ID,
     Window,
@@ -267,8 +307,8 @@ def test_planner_empty_trace():
     assert plan.n == 0 and plan.kernel_eligible
     assert plan.windows() == []
     assert plan.free_accesses == 0
-    fast, reference = _both_engines(trace, ())
-    assert fast == reference
+    batch, reference = _both_engines(trace, ())
+    assert batch == reference
 
 
 def test_planner_single_access_trace():
@@ -281,10 +321,10 @@ def test_planner_single_access_trace():
     plan = plan_replay(trace.arrays(), {10: [1 << 21]})
     assert plan.windows() == [Window(0, 1, "coupled")]
     assert plan.free_accesses == 0
-    fast, reference = _both_engines(
+    batch, reference = _both_engines(
         trace, [PrefetchRequest(trigger_instr_id=10,
                                 address=(1 << 21) << 6)])
-    assert fast == reference
+    assert batch == reference
 
 
 def test_planner_windows_tile_exactly():
@@ -313,9 +353,9 @@ def test_fill_on_window_boundary_is_bit_identical():
     requests = [PrefetchRequest(trigger_instr_id=gap, address=target << 6),
                 PrefetchRequest(trigger_instr_id=15 * gap,
                                 address=(target + 1) << 6)]
-    fast, reference = _both_engines(trace, requests)
-    assert fast == reference
-    assert fast.pf_useful >= 1
+    batch, reference = _both_engines(trace, requests)
+    assert batch == reference
+    assert batch.pf_useful >= 1
 
 
 def test_planner_rejects_non_monotone_ids():
@@ -326,9 +366,9 @@ def test_planner_rejects_non_monotone_ids():
     assert "monotone" in plan.fallback_reason
     assert plan.windows() == [Window(0, 3, "coupled")]
     assert plan.free_accesses == 0
-    # The replay still runs (scalar fallback) and stays bit-identical.
-    fast, reference = _both_engines(trace, ())
-    assert fast == reference
+    # The replay still runs (reference fallback) and stays bit-identical.
+    batch, reference = _both_engines(trace, ())
+    assert batch == reference
 
 
 def test_planner_rejects_oversized_instruction_ids():
@@ -349,9 +389,9 @@ def test_first_touch_prefetch_targets_stay_coupled():
     plan = plan_replay(trace.arrays(), {10: [target]})
     assert plan.free_accesses == 0  # trigger at position 0: no free span
     assert plan.windows()[0].kind == "coupled"
-    fast, reference = _both_engines(
+    batch, reference = _both_engines(
         trace, [PrefetchRequest(trigger_instr_id=10, address=target << 6)])
-    assert fast == reference
+    assert batch == reference
 
 
 def test_segment_windows_no_triggers_is_one_free_window():
@@ -363,12 +403,29 @@ def test_segment_windows_no_triggers_is_one_free_window():
 
 
 def test_batch_without_kernel_falls_back_bit_identically(monkeypatch):
-    """No C compiler (or REPRO_NO_SIMKERNEL=1) must only cost speed."""
+    """No C compiler (or REPRO_NO_SIMKERNEL=1) must only cost speed —
+    and must say so: a typed warning, ``engine_used == "reference"``,
+    and no fallback timing under the ``replay_batch_s`` key."""
+    from repro.harness.runner import run_prefetcher
+
     trace = _trace("cc-5")
-    requests = _requests("cc-5", "nextline")
-    reference = simulate(trace, requests, default_hierarchy(), "nextline",
-                         engine="reference")
-    monkeypatch.setattr(batch_module, "_load_replay_kernel", lambda: None)
-    batch = simulate(trace, requests, default_hierarchy(), "nextline",
-                     engine="batch")
-    assert batch == reference
+    baseline = _reference("cc-5", "none")
+    kernel_row = run_prefetcher(trace, PREFETCHER_FACTORIES["nextline"](),
+                                baseline, default_hierarchy())
+    monkeypatch.setattr(batch_module, "load_kernel", lambda: None)
+    with pytest.warns(EngineFallbackWarning, match="no replay kernel"):
+        row = run_prefetcher(trace, PREFETCHER_FACTORIES["nextline"](),
+                             baseline, default_hierarchy())
+    assert row.extras["engine_used"] == "reference"
+    assert "replay_batch_s" not in row.timings
+    assert row.result == kernel_row.result
+    assert row.result == _reference("cc-5", "nextline")
+
+
+def test_ineligible_plan_fallback_names_its_reason():
+    trace = _mini_trace([(10, 1 << 20), (30, (1 << 20) + 1),
+                         (20, (1 << 20) + 2)])
+    sim = Simulator(default_hierarchy(), engine="batch")
+    with pytest.warns(EngineFallbackWarning, match="non-monotone"):
+        sim.run(trace, (), "none")
+    assert sim.engine_used == "reference"

@@ -32,7 +32,8 @@ from repro.obs import (
 )
 from repro.obs.timeseries import Series, WindowRecorder
 from repro.prefetchers.base import generate_prefetches
-from repro.sim.simulator import simulate
+from repro.sim.fast_engine import batch as batch_mod
+from repro.sim.simulator import Simulator, simulate
 from repro.traces.workloads import make_trace
 
 # -- recorder and series mechanics -------------------------------------------
@@ -268,15 +269,26 @@ def _series_obs(window: int = 256) -> Observability:
     return Observability(series=SeriesCollector(window=window))
 
 
-@pytest.mark.parametrize("engine", ("reference", "fast", "batch"))
+_needs_kernel = pytest.mark.skipif(
+    batch_mod.load_kernel() is None,
+    reason="no C compiler available for the replay kernel")
+
+
+#: ``fast`` is the batch engine with its compiled kernel required to
+#: run; ``batch`` is the batch engine as callers get it.
+@pytest.mark.parametrize("engine", (
+    "reference", pytest.param("fast", marks=_needs_kernel), "batch"))
 def test_simresult_bit_identical_with_series(engine):
     factory = PREFETCHER_FACTORIES["nextline"]
     requests = generate_prefetches(factory(), _PARITY_TRACE)
+    sim_engine = "batch" if engine == "fast" else engine
     plain = simulate(_PARITY_TRACE, requests, default_hierarchy(),
-                     "nextline", engine=engine)
+                     "nextline", engine=sim_engine)
     obs = _series_obs()
-    with_series = simulate(_PARITY_TRACE, requests, default_hierarchy(),
-                           "nextline", obs=obs, engine=engine)
+    sim = Simulator(default_hierarchy(), obs=obs, engine=sim_engine)
+    with_series = sim.run(_PARITY_TRACE, requests, "nextline")
+    if engine == "fast":
+        assert sim.engine_used == "batch", "the replay kernel did not run"
     assert with_series == plain
     recorded = obs.series.snapshot()
     assert recorded, "series must actually be collected"
@@ -286,8 +298,6 @@ def test_simresult_bit_identical_with_series(engine):
 
 
 def test_batch_kernel_fallback_collects_identical_series(monkeypatch):
-    import repro.sim.fast_engine.batch as batch_mod
-
     requests = generate_prefetches(
         PREFETCHER_FACTORIES["nextline"](), _PARITY_TRACE)
 
@@ -301,6 +311,21 @@ def test_batch_kernel_fallback_collects_identical_series(monkeypatch):
                                obs=obs_fallback, engine="batch")
     assert result_fallback == result_kernel
     assert obs_fallback.series.snapshot() == obs_kernel.series.snapshot()
+
+
+def test_series_identical_across_engines():
+    """The replay series — DRAM-queue gauge included — is the same
+    whichever engine ran (605-mcf-s1 under spp keeps the queue busy
+    across window boundaries)."""
+    trace = make_trace("605-mcf-s1", 3000, seed=7)
+    requests = generate_prefetches(PREFETCHER_FACTORIES["spp"](), trace)
+    snapshots = []
+    for engine in ("reference", "batch"):
+        obs = _series_obs()
+        simulate(trace, requests, default_hierarchy(), "spp", obs=obs,
+                 engine=engine)
+        snapshots.append(json.dumps(obs.series.snapshot(), sort_keys=True))
+    assert snapshots[0] == snapshots[1]
 
 
 def test_prefetch_file_bit_identical_with_series_recorder():
