@@ -532,6 +532,9 @@ class Campaign:
                  f"in {delay:.2f}s")
 
     def _record_row(self, cell: CellState, row, worker_id: str) -> None:
+        # A guarded prefetcher that failed still yields an "ok" row;
+        # its last error rides along, as in the grid's ledger records.
+        error = row.extras.get("error")
         self.ledger.record_cell(
             cell=f"{cell.index:03d}:{cell.workload}:{cell.prefetcher}",
             key=cell.key, seed=cell.seed, workload=cell.workload,
@@ -540,6 +543,7 @@ class Campaign:
             outcome="ok" if cell.attempts == 0 else "retried",
             attempts=cell.attempts + 1,
             engine_used=row.extras.get("engine_used"),
+            error=str(error) if error is not None else None,
             worker=worker_id)
 
     def _kill(self, handle: _WorkerHandle) -> None:

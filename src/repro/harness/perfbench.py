@@ -70,9 +70,12 @@ SUPPORTED_SCHEMA_VERSIONS = (2, 3)
 #: :mod:`repro.harness.stats` replaces it.
 DEFAULT_MAX_REGRESS = 0.25
 
-#: The default lineup: the cheap table prefetchers bracket PATHFINDER
-#: so a regression report localises the slowdown to one pipeline.
-DEFAULT_PREFETCHERS = ("nextline", "bo", "spp", "sisb", "pathfinder")
+#: The default lineup: every prefetcher the Fig-4 comparison runs
+#: (its ``pathfinder+nl+sisb`` ensemble is made of members timed here),
+#: plus NextLine, so a regression report localises a slowdown to one
+#: pipeline — including the neural baselines' inference.
+DEFAULT_PREFETCHERS = ("nextline", "bo", "spp", "sisb", "pathfinder",
+                       "delta-lstm", "voyager", "pythia")
 
 #: ``--small`` preset: enough accesses for every phase to be non-trivial
 #: but quick enough for a CI smoke step.

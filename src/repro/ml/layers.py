@@ -7,6 +7,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..errors import ConfigError, ModelError
+from .inference import row_matmul
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -48,10 +49,16 @@ class Embedding:
     def forward(self, indices: np.ndarray) -> np.ndarray:
         """Look up rows; ``indices`` may be any integer-shaped array."""
         indices = np.asarray(indices)
+        vectors = self.lookup(indices)
+        self._last_indices = indices
+        return vectors
+
+    def lookup(self, indices: np.ndarray) -> np.ndarray:
+        """Inference-only :meth:`forward`: no state kept for backward."""
+        indices = np.asarray(indices)
         if indices.size and (indices.min() < 0
                              or indices.max() >= self.vocab_size):
             raise ModelError("embedding index out of range")
-        self._last_indices = indices
         return self.weight[indices]
 
     def backward(self, grad_output: np.ndarray) -> None:
@@ -90,6 +97,11 @@ class Dense:
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._last_input = x
         return x @ self.w + self.b
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Inference-only :meth:`forward`: no state kept for backward,
+        and each output row's bits are independent of the batch."""
+        return row_matmul(x, self.w) + self.b
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Accumulate parameter grads; return gradient w.r.t. input."""

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigError, ModelError
+from .inference import INFER_BLOCK_ROWS, row_matmul
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -79,6 +80,40 @@ class LSTM:
             outputs[:, t, :] = h
         self._cache = cache
         self._inputs = x
+        return outputs
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Inference-only :meth:`forward` from a zero state.
+
+        Keeps no backward cache (``_cache``/``_inputs`` stay as the
+        last training step left them) and contracts with
+        :func:`~repro.ml.inference.row_matmul`, so each row's hidden
+        states have the same bits whatever batch the row arrives in.
+        Rows run :data:`~repro.ml.inference.INFER_BLOCK_ROWS` at a time.
+
+        Returns:
+            Hidden states of shape (batch, time, hidden_dim).
+        """
+        if x.ndim != 3 or x.shape[2] != self.input_dim:
+            raise ModelError(
+                f"expected (B, T, {self.input_dim}) input, got {x.shape}")
+        batch, time, _ = x.shape
+        hd = self.hidden_dim
+        outputs = np.empty((batch, time, hd))
+        for start in range(0, batch, INFER_BLOCK_ROWS):
+            block = x[start:start + INFER_BLOCK_ROWS]
+            rows = block.shape[0]
+            h = np.zeros((rows, hd))
+            c = np.zeros((rows, hd))
+            for t in range(time):
+                z = (row_matmul(block[:, t, :], self.wx)
+                     + row_matmul(h, self.wh) + self.b)
+                # One elementwise call for the three sigmoid gates.
+                ifo = _sigmoid(z[:, :3 * hd])
+                g = np.tanh(z[:, 3 * hd:])
+                c = ifo[:, hd:2 * hd] * c + ifo[:, :hd] * g
+                h = ifo[:, 2 * hd:] * np.tanh(c)
+                outputs[start:start + rows, t, :] = h
         return outputs
 
     def backward(self, grad_h: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigError, ModelError
+from .inference import map_unique_rows
 from .layers import Dense, Embedding, cross_entropy, softmax
 from .lstm import LSTM
 from .optim import Adam
@@ -117,15 +118,33 @@ class NextTokenLSTM:
     def predict_topk(self, context: Sequence[int], k: int = 2) -> List[int]:
         """Most likely next tokens for a context (padded/truncated to
         the training window)."""
-        if not self.trained:
-            raise ModelError("model used before fit()")
         context = list(context)[-self.window:]
         if len(context) < self.window:
             context = [0] * (self.window - len(context)) + context
-        batch = np.asarray([context], dtype=int)
-        hidden = self.embedding.forward(batch)
-        for lstm in self.lstms:
-            hidden = lstm.forward(hidden)
-        logits = self.head.forward(hidden[:, -1, :])[0]
-        order = np.argsort(-logits)
-        return [int(t) for t in order[:k]]
+        return self.predict_topk_batch([context], k)[0]
+
+    def predict_topk_batch(self, contexts, k: int = 2) -> List[List[int]]:
+        """Top-``k`` next tokens, most likely first, for each row of
+        ``contexts`` (shape ``(n, window)``).
+
+        The frozen-model path: no backward state is touched, and a
+        row's answer does not depend on the other rows
+        (:mod:`repro.ml.inference`).
+        """
+        if not self.trained:
+            raise ModelError("model used before fit()")
+        contexts = np.asarray(contexts, dtype=int)
+        if contexts.ndim != 2 or contexts.shape[1] != self.window:
+            raise ModelError(
+                f"expected (n, {self.window}) contexts, got {contexts.shape}")
+        if contexts.shape[0] == 0:
+            return []
+
+        def top(block: np.ndarray) -> np.ndarray:
+            hidden = self.embedding.lookup(block)
+            for lstm in self.lstms:
+                hidden = lstm.infer(hidden)
+            logits = self.head.infer(hidden[:, -1, :])
+            return np.argsort(-logits, axis=1)[:, :k]
+
+        return map_unique_rows(contexts, top).tolist()

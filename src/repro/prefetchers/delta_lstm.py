@@ -14,7 +14,7 @@ window cannot be predicted later.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -138,38 +138,72 @@ class DeltaLSTMPrefetcher(Prefetcher):
     # -- inference ----------------------------------------------------------
 
     def process(self, access: MemoryAccess) -> List[int]:
+        # A one-access chunk.  Bound to the class so an instance-level
+        # process_batch override (the base per-access loop) still ends
+        # here rather than recursing.
+        return DeltaLSTMPrefetcher.process_batch(
+            self, [access.address], [access.pc], [access.instr_id])[0]
+
+    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+        """Chunked inference: one sequential pass, one forward per cluster.
+
+        The first pass walks the chunk in program order doing what is
+        order-dependent — cluster assignment (vectorised), each
+        cluster's delta context and last block, the unseen-delta
+        counter — and queues every full context.  The frozen models
+        then rank all queued contexts of a cluster in one
+        :meth:`~repro.ml.model.NextTokenLSTM.predict_topk_batch` call,
+        whose answers do not depend on batch composition, so any chunk
+        size gives the per-access prefetch file.
+        """
         cfg = self.config
-        if self.centroids is None:
-            return []
-        cluster_id = int(assign_1d(np.asarray([access.block]),
-                                   self.centroids)[0])
-        cluster = self._clusters[cluster_id]
-        if cluster.model is None:
-            return []
+        results: List[List[int]] = [[] for _ in range(len(addresses))]
+        if self.centroids is None or not results:
+            return results
+        blocks_arr = np.asarray(addresses, dtype=np.int64) >> 6
+        cluster_ids = assign_1d(blocks_arr, self.centroids).tolist()
+        blocks = blocks_arr.tolist()
+        window = cfg.window
+        queued: Dict[int, Tuple[List[int], List[List[int]]]] = {}
+        for index, (cluster_id, block) in enumerate(zip(cluster_ids,
+                                                        blocks)):
+            cluster = self._clusters[cluster_id]
+            if cluster.model is None:
+                continue
+            if cluster.last_block is not None and block != cluster.last_block:
+                token = cluster.delta_to_token.get(block - cluster.last_block,
+                                                   _OOV)
+                if token == _OOV:
+                    self.unseen_delta_predictions += 1
+                cluster.context.append(token)
+                if len(cluster.context) > window:
+                    del cluster.context[0]
+            cluster.last_block = block
+            if len(cluster.context) == window:
+                rows, contexts = queued.setdefault(cluster_id, ([], []))
+                rows.append(index)
+                contexts.append(list(cluster.context))
 
-        block = access.block
-        if cluster.last_block is not None and block != cluster.last_block:
-            delta = block - cluster.last_block
-            token = cluster.delta_to_token.get(delta, _OOV)
-            if token == _OOV:
-                self.unseen_delta_predictions += 1
-            cluster.context.append(token)
-            if len(cluster.context) > cfg.window:
-                cluster.context = cluster.context[-cfg.window:]
-        cluster.last_block = block
+        for cluster_id, (rows, contexts) in queued.items():
+            cluster = self._clusters[cluster_id]
+            ranked = cluster.model.predict_topk_batch(contexts,
+                                                      k=cfg.degree + 1)
+            for index, tokens in zip(rows, ranked):
+                results[index] = self._decode(cluster, blocks[index], tokens)
+        return results
 
-        if len(cluster.context) < cfg.window:
-            return []
+    def _decode(self, cluster: _ClusterModel, block: int,
+                tokens: List[int]) -> List[int]:
+        """Ranked delta tokens → up to ``degree`` prefetch addresses."""
         addresses: List[int] = []
-        for token in cluster.model.predict_topk(cluster.context,
-                                                k=cfg.degree + 1):
+        for token in tokens:
             delta = cluster.token_to_delta.get(token)
             if delta is None:  # OOV token predicts nothing
                 continue
             target = block + delta
             if target > 0:
                 addresses.append(target << 6)
-            if len(addresses) >= cfg.degree:
+            if len(addresses) >= self.config.degree:
                 break
         return addresses
 

@@ -74,6 +74,8 @@ class PythiaConfig:
     def __post_init__(self) -> None:
         if 0 not in self.actions:
             raise ConfigError("action list must include 0 (no prefetch)")
+        if len(set(self.actions)) != len(self.actions):
+            raise ConfigError("action list must not repeat a delta")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError("alpha must be in (0, 1]")
         if not 0.0 <= self.gamma < 1.0:
@@ -91,7 +93,7 @@ class _EQEntry:
 
     def __init__(self, state: Tuple[int, ...], action: int, block: int):
         self.state = state
-        self.action = action
+        self.action = action  # index into the config's action list
         self.block = block
         self.resolved = False
 
@@ -104,11 +106,15 @@ class PythiaPrefetcher(Prefetcher):
     def __init__(self, config: Optional[PythiaConfig] = None):
         self.config = config or PythiaConfig()
         self._rng = np.random.default_rng(self.config.seed)
-        # One Q-table ("vault") per program feature; action values are
-        # summed across vaults, exactly as Pythia's QVStore does.
-        self._vaults: List[Dict[Tuple[int, int], float]] = [{}]
+        # One Q-table ("vault") per program feature, each mapping a
+        # feature to its row of Q-values (one per action, in action-list
+        # order); action values are summed across vaults, exactly as
+        # Pythia's QVStore does.
+        self._vaults: List[Dict[int, List[float]]] = [{}]
         if self.config.use_delta_sequence_vault:
             self._vaults.append({})
+        self._zero_row = [0.0] * len(self.config.actions)
+        self._no_prefetch = self.config.actions.index(0)
         self._eq: Deque[_EQEntry] = deque()
         self._eq_by_block: Dict[int, List[_EQEntry]] = {}
         # page -> last offset (for delta features)
@@ -128,22 +134,29 @@ class PythiaPrefetcher(Prefetcher):
         sequence = ((last_delta & 0x7F) << 7) ^ (prev_delta & 0x7F)
         return (pc_delta, sequence)
 
-    def _q_value(self, state: Tuple[int, ...], action: int) -> float:
-        return sum(vault.get((feature, action), 0.0)
-                   for vault, feature in zip(self._vaults, state))
-
-    def _best_q(self, state: Tuple[int, ...]) -> float:
-        return max(self._q_value(state, a) for a in self.config.actions)
+    def _q_row(self, state: Tuple[int, ...]) -> List[float]:
+        """Q-value of every action (action-list order), summed across
+        vaults; an unseen feature contributes 0.0."""
+        zero = self._zero_row
+        rows = [vault.get(feature, zero)
+                for vault, feature in zip(self._vaults, state)]
+        return [sum(values) for values in zip(*rows)]
 
     def _update(self, state: Tuple[int, ...], action: int, reward: float,
                 next_state: Optional[Tuple[int, ...]]) -> None:
+        """SARSA step for action index ``action`` in ``state``."""
         cfg = self.config
-        old = self._q_value(state, action)
-        bootstrap = (cfg.gamma * self._best_q(next_state)
+        zero = self._zero_row
+        old = sum(vault.get(feature, zero)[action]
+                  for vault, feature in zip(self._vaults, state))
+        bootstrap = (cfg.gamma * max(self._q_row(next_state))
                      if next_state is not None else 0.0)
         step = cfg.alpha * (reward + bootstrap - old) / len(self._vaults)
         for vault, feature in zip(self._vaults, state):
-            vault[(feature, action)] = vault.get((feature, action), 0.0) + step
+            row = vault.get(feature)
+            if row is None:
+                row = vault[feature] = list(zero)
+            row[action] = row[action] + step
         self.rewards_assigned += 1
 
     # -- evaluation queue ---------------------------------------------------
@@ -191,23 +204,24 @@ class PythiaPrefetcher(Prefetcher):
                                   prev_delta)
         self._resolve_hits(access.block, state)
 
-        # Epsilon-greedy multi-action selection, best Q first.
+        # Epsilon-greedy multi-action selection, best Q first (a stable
+        # sort: ties keep action-list order).
+        actions = cfg.actions
         if self._rng.random() < cfg.epsilon:
-            chosen = list(self._rng.choice(cfg.actions, size=cfg.degree,
-                                           replace=False))
+            chosen = [actions.index(int(action)) for action in
+                      self._rng.choice(actions, size=cfg.degree,
+                                       replace=False)]
         else:
-            ranked = sorted(cfg.actions,
-                            key=lambda a: self._q_value(state, a),
-                            reverse=True)
-            chosen = ranked[:cfg.degree]
+            qs = self._q_row(state)
+            chosen = sorted(range(len(actions)), key=qs.__getitem__,
+                            reverse=True)[:cfg.degree]
 
         addresses: List[int] = []
         for action in chosen:
-            action = int(action)
-            if action == 0:
-                self._update(state, 0, cfg.reward_no_prefetch, None)
+            if action == self._no_prefetch:
+                self._update(state, action, cfg.reward_no_prefetch, None)
                 continue
-            target = offset + action
+            target = offset + actions[action]
             if not 0 <= target < BLOCKS_PER_PAGE:
                 continue
             address = compose_address(page, target)

@@ -25,10 +25,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigError
+from ..ml.inference import map_unique_rows
 from ..ml.layers import Dense, Embedding, cross_entropy, softmax
 from ..ml.lstm import LSTM
 from ..ml.optim import Adam
-from ..types import MemoryAccess, Trace, compose_address
+from ..types import (BLOCK_BITS, BLOCKS_PER_PAGE, PAGE_BITS, MemoryAccess,
+                     Trace, compose_address)
 from .base import Prefetcher
 
 #: Page-delta token reserved for out-of-range jumps.
@@ -112,7 +114,7 @@ class VoyagerPrefetcher(Prefetcher):
         self.page_to_token: Dict[int, int] = {}
         self.token_to_page: Dict[int, int] = {}
         # Per-PC inference state: token history and last page.
-        self._history: Dict[int, List[np.ndarray]] = {}
+        self._history: Dict[int, List[Tuple[int, int, int]]] = {}
         self._last_page: Dict[int, int] = {}
         self._batch_tokens: Optional[np.ndarray] = None
 
@@ -248,30 +250,78 @@ class VoyagerPrefetcher(Prefetcher):
 
     # -- inference ----------------------------------------------------------
 
+    def _infer(self, contexts: np.ndarray) -> np.ndarray:
+        """Frozen-model ranking of (n, window, 3) token contexts.
+
+        Returns an (n, 1 + degree) array per context: the top page
+        token, then the ``degree`` most likely offsets.  Touches no
+        training state (``_batch_tokens``, backward caches), and a
+        context's row does not depend on the other contexts
+        (:mod:`repro.ml.inference`).
+        """
+        degree = self.config.degree
+
+        def rank(block: np.ndarray) -> np.ndarray:
+            joined = np.concatenate(
+                [self.page_embed.lookup(block[:, :, 0]),
+                 self.offset_embed.lookup(block[:, :, 1]),
+                 self.pc_embed.lookup(block[:, :, 2])], axis=2)
+            final = self.lstm.infer(joined)[:, -1, :]
+            page = np.argmax(self.page_head.infer(final), axis=1)
+            offsets = np.argsort(-self.offset_head.infer(final), axis=1)
+            return np.concatenate([page[:, None], offsets[:, :degree]],
+                                  axis=1)
+
+        return map_unique_rows(contexts, rank)
+
     def process(self, access: MemoryAccess) -> List[int]:
+        # A one-access chunk.  Bound to the class so an instance-level
+        # process_batch override (the base per-access loop) still ends
+        # here rather than recursing.
+        return VoyagerPrefetcher.process_batch(
+            self, [access.address], [access.pc], [access.instr_id])[0]
+
+    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+        """Chunked inference: one sequential pass, one batched forward.
+
+        The sequential pass updates each PC's token history and last
+        page in program order and queues every full history; the
+        frozen model then ranks all queued contexts at once.
+        """
         cfg = self.config
-        if not self.trained:
-            return []
-        prev = self._last_page.get(access.pc)
-        delta = 0 if prev is None else access.page - prev
-        self._last_page[access.pc] = access.page
-        history = self._history.setdefault(access.pc, [])
-        history.append(np.asarray(
-            [self._page_token(delta, access.page), access.offset,
-             self._pc_token(access.pc)], dtype=int))
-        if len(history) > cfg.window:
-            del history[:-cfg.window]
-        if len(history) < cfg.window:
-            return []
-        contexts = np.stack(history)[None, :, :]
-        _, page_logits, offset_logits = self._forward(contexts)
-        page = self._decode_page(int(np.argmax(page_logits[0])),
-                                 access.page)
-        if page is None or page < 0:
-            return []
-        offset_order = np.argsort(-offset_logits[0])
-        return [compose_address(page, int(o))
-                for o in offset_order[:cfg.degree]]
+        results: List[List[int]] = [[] for _ in range(len(addresses))]
+        if not self.trained or not results:
+            return results
+        addresses = np.asarray(addresses, dtype=np.int64)
+        pages = (addresses >> PAGE_BITS).tolist()
+        offsets = ((addresses >> BLOCK_BITS)
+                   & (BLOCKS_PER_PAGE - 1)).tolist()
+        window = cfg.window
+        rows: List[int] = []
+        contexts: List[List[Tuple[int, int, int]]] = []
+        for index, (page, offset, pc) in enumerate(
+                zip(pages, offsets, np.asarray(pcs).tolist())):
+            prev = self._last_page.get(pc)
+            delta = 0 if prev is None else page - prev
+            self._last_page[pc] = page
+            history = self._history.setdefault(pc, [])
+            history.append((self._page_token(delta, page), offset,
+                            self._pc_token(pc)))
+            if len(history) > window:
+                del history[0]
+            if len(history) == window:
+                rows.append(index)
+                contexts.append(list(history))
+        if not rows:
+            return results
+        ranked = self._infer(np.asarray(contexts, dtype=int)).tolist()
+        for index, (page_token, *top_offsets) in zip(rows, ranked):
+            page = self._decode_page(page_token, pages[index])
+            if page is None or page < 0:
+                continue
+            results[index] = [compose_address(page, offset)
+                              for offset in top_offsets]
+        return results
 
     def reset(self) -> None:
         self._history.clear()

@@ -223,6 +223,20 @@ def test_serial_campaign_end_to_end(tmp_path):
     assert summary["per_worker"] == {"serial": 2}
 
 
+def test_guarded_prefetcher_error_reaches_campaign_ledger(tmp_path):
+    """A prefetcher that raises inside its guard still completes the
+    cell ("ok"), and the ledger records the guard's last error."""
+    directory = tmp_path / "camp"
+    campaign = Campaign.create(directory, small_spec(prefetchers=("bo",)),
+                               fault_spec="prefetcher.access:rate=1.0")
+    result = campaign.run(echo=lambda _line: None)
+    assert result["finished"] and result["quarantined"] == []
+    (record,) = read_ledger(directory / LEDGER_FILE)["cells"]
+    assert record["outcome"] == "ok"
+    assert record["error"] is not None
+    assert "FaultInjectionError" in record["error"]
+
+
 def test_campaign_create_refuses_existing(tmp_path):
     directory = tmp_path / "camp"
     Campaign.create(directory, small_spec())

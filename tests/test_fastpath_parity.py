@@ -7,6 +7,8 @@ encodings, same winners, same learned state, and, end to end, the same
 prefetch file — across the Figure-9 config toggles and random inputs.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -174,7 +176,8 @@ from repro.snn.encoding import flatten_active_windows  # noqa: E402
 from repro.snn.network import HEALTH_CHECK_INTERVAL  # noqa: E402
 
 #: Every prefetcher that overrides :meth:`Prefetcher.process_batch`.
-BATCHED_PREFETCHERS = ("nextline", "bo", "sisb", "spp", "pathfinder")
+BATCHED_PREFETCHERS = ("nextline", "bo", "sisb", "spp", "pathfinder",
+                       "delta-lstm", "voyager")
 
 #: Behaviourally distinct workloads: graph-irregular, temporal-replay,
 #: and delta-pattern heavy.
@@ -190,17 +193,36 @@ def _batch_trace(workload):
     return _batch_traces[workload]
 
 
+#: Offline-trained prefetchers, and their trained (name, workload) cells.
+TRAINED_PREFETCHERS = ("delta-lstm", "voyager")
+_trained_cells = {}
+
+
+def _trained(name, workload):
+    """A prefetcher ready for ``train=False`` generation on
+    ``workload``: offline training runs once per cell, and each call
+    gets its own deep copy of the result."""
+    if name not in TRAINED_PREFETCHERS:
+        return make_prefetcher(name)
+    key = (name, workload)
+    if key not in _trained_cells:
+        prefetcher = make_prefetcher(name)
+        prefetcher.train(_batch_trace(workload))
+        _trained_cells[key] = prefetcher
+    return copy.deepcopy(_trained_cells[key])
+
+
 def _scalar_reference_file(workload, name):
     key = (workload, name)
     if key not in _scalar_files:
-        prefetcher = make_prefetcher(name)
+        prefetcher = _trained(name, workload)
         # Route every chunk through the scalar per-access loop: this is
         # the oracle the batched implementations must reproduce.
         prefetcher.process_batch = (
             lambda a, p, i, _pf=prefetcher:
             Prefetcher.process_batch(_pf, a, p, i))
         _scalar_files[key] = generate_prefetches(
-            prefetcher, _batch_trace(workload), budget=2)
+            prefetcher, _batch_trace(workload), budget=2, train=False)
     return _scalar_files[key]
 
 
@@ -212,8 +234,9 @@ def test_process_batch_matches_scalar(workload, name):
     trace = _batch_trace(workload)
     reference = _scalar_reference_file(workload, name)
     for chunk in (1, 7, len(trace)):
-        assert generate_prefetches(make_prefetcher(name), trace,
-                                   budget=2, chunk=chunk) == reference, \
+        assert generate_prefetches(_trained(name, workload), trace,
+                                   budget=2, chunk=chunk,
+                                   train=False) == reference, \
             f"{name} diverged on {workload} at chunk={chunk}"
 
 
@@ -240,6 +263,111 @@ def test_pathfinder_batch_state_and_counters_match_scalar():
                           scalar.network.exc.theta)
     assert (batched.network.intervals_presented
             == scalar.network.intervals_presented)
+
+
+# -- frozen-model batched inference ------------------------------------------
+
+#: Two logits closer than this are a tie: the row-stable einsum path
+#: and the training forward's BLAS ``@`` may order them differently.
+NEAR_TIE = 1e-9
+
+
+def _assert_rankings_agree(batched, oracle_order, logits):
+    """Two rankings may differ only where their logits near-tie."""
+    for mine, theirs in zip(batched, oracle_order):
+        if mine != theirs:
+            assert abs(logits[mine] - logits[theirs]) < NEAR_TIE
+
+
+def _delta_lstm_oracle(model, context, k):
+    """Top-k from the training forward on a (1, window) batch."""
+    hidden = model.embedding.forward(np.asarray([context]))
+    for lstm in model.lstms:
+        hidden = lstm.forward(hidden)
+    logits = model.head.forward(hidden[:, -1, :])[0]
+    return np.argsort(-logits)[:k].tolist(), logits
+
+
+@pytest.mark.parametrize("workload", BATCH_WORKLOADS)
+def test_delta_lstm_batched_topk_matches_training_forward(workload):
+    prefetcher = _trained("delta-lstm", workload)
+    answers = {}
+    for cluster in prefetcher._clusters:
+        model = cluster.model
+        if model is None:
+            continue
+
+        def spy(contexts, k, _model=model):
+            ranked = type(_model).predict_topk_batch(_model, contexts, k)
+            for context, tokens in zip(contexts, ranked):
+                answers[(id(_model), tuple(context))] = (_model, k, tokens)
+            return ranked
+
+        model.predict_topk_batch = spy
+    generate_prefetches(prefetcher, _batch_trace(workload), budget=2,
+                        train=False)
+    assert answers, "expected queued contexts"
+    for (_, context), (model, k, tokens) in answers.items():
+        oracle, logits = _delta_lstm_oracle(model, context, k)
+        _assert_rankings_agree(tokens, oracle, logits)
+
+
+@pytest.mark.parametrize("workload", BATCH_WORKLOADS)
+def test_voyager_batched_ranking_matches_training_forward(workload):
+    prefetcher = _trained("voyager", workload)
+    degree = prefetcher.config.degree
+    answers = {}
+
+    def spy(contexts):
+        ranked = type(prefetcher)._infer(prefetcher, contexts)
+        for context, row in zip(contexts, ranked.tolist()):
+            answers[context.tobytes()] = (context, row)
+        return ranked
+
+    prefetcher._infer = spy
+    generate_prefetches(prefetcher, _batch_trace(workload), budget=2,
+                        train=False)
+    assert answers, "expected queued contexts"
+    for context, (page_token, *offsets) in answers.values():
+        _, page_logits, offset_logits = prefetcher._forward(context[None])
+        page_logits, offset_logits = page_logits[0], offset_logits[0]
+        _assert_rankings_agree([page_token], [int(np.argmax(page_logits))],
+                               page_logits)
+        _assert_rankings_agree(
+            offsets, np.argsort(-offset_logits)[:degree].tolist(),
+            offset_logits)
+
+
+def test_delta_lstm_unseen_deltas_match_scalar():
+    trace = _batch_trace("623-xalan-s1")
+    scalar = _trained("delta-lstm", "623-xalan-s1")
+    scalar.process_batch = (
+        lambda a, p, i: Prefetcher.process_batch(scalar, a, p, i))
+    generate_prefetches(scalar, trace, budget=2, train=False)
+    batched = _trained("delta-lstm", "623-xalan-s1")
+    generate_prefetches(batched, trace, budget=2, train=False)
+    assert batched.unseen_delta_predictions > 0
+    assert (batched.unseen_delta_predictions
+            == scalar.unseen_delta_predictions)
+
+
+def test_frozen_inference_leaves_training_state_untouched():
+    """Inference keeps no backward state: the caches the last training
+    step left are the very same objects afterwards."""
+    trace = _batch_trace("cc-5")
+    delta = _trained("delta-lstm", "cc-5")
+    lstms = [lstm for cluster in delta._clusters if cluster.model
+             for lstm in cluster.model.lstms]
+    voyager = _trained("voyager", "cc-5")
+    lstms.append(voyager.lstm)
+    before = [(lstm._cache, lstm._inputs) for lstm in lstms]
+    tokens_before = voyager._batch_tokens
+    assert tokens_before is not None
+    for prefetcher in (delta, voyager):
+        assert generate_prefetches(prefetcher, trace, budget=2, train=False)
+    for lstm, (cache, inputs) in zip(lstms, before):
+        assert lstm._cache is cache and lstm._inputs is inputs
+    assert voyager._batch_tokens is tokens_before
 
 
 def test_generate_prefetches_rejects_bad_chunk():

@@ -1,5 +1,7 @@
 """The perf-regression report: generation, schema validation, round-trip."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigError
@@ -96,22 +98,33 @@ def test_schema_v2_reports_still_validate_and_compare(report):
     assert bench_samples(v2, "replay_s", prefetcher="nextline") is None
 
 
-def test_fresh_report_compares_with_committed_fast_era_report():
-    """The committed ``BENCH_perf.json`` still carries the removed fast
-    engine's ``*_replay_fast_s`` keys: it must keep validating, and a
-    fresh report of the same experiment (nextline only, to stay quick)
-    must compare against it without tripping over the keys it lacks."""
+@pytest.fixture(scope="module")
+def committed():
     from pathlib import Path
 
+    return load_bench(Path(__file__).resolve().parents[1]
+                      / "BENCH_perf.json")
+
+
+@pytest.fixture(scope="module")
+def fresh(committed):
+    """A fresh report of the committed report's experiment: NextLine,
+    which the committed report times, and Pythia, which it predates."""
+    return run_bench(prefetchers=("nextline", "pythia"),
+                     workload=committed["workload"],
+                     n_accesses=committed["n_accesses"],
+                     seed=committed["seed"], budget=committed["budget"])
+
+
+def test_fresh_report_compares_with_committed_fast_era_report(committed,
+                                                              fresh):
+    """The committed ``BENCH_perf.json`` still carries the removed fast
+    engine's ``*_replay_fast_s`` keys: it must keep validating, and a
+    fresh report of the same experiment must compare against it without
+    tripping over the keys it lacks."""
     from repro.harness.compare import compare_bench_reports
 
-    committed = load_bench(Path(__file__).resolve().parents[1]
-                           / "BENCH_perf.json")
     assert "baseline_replay_fast_s" in committed
-    fresh = run_bench(prefetchers=("nextline",),
-                      workload=committed["workload"],
-                      n_accesses=committed["n_accesses"],
-                      seed=committed["seed"], budget=committed["budget"])
     validate_bench(fresh)
     assert not any("fast" in key for key in fresh)
     # Timings come from different hosts; the gate itself is not the
@@ -120,6 +133,33 @@ def test_fresh_report_compares_with_committed_fast_era_report():
         result = compare_bench_reports(committed, fresh, max_regress=1e9,
                                        use_stats=use_stats)
         assert result.regressions == []
+
+
+def test_default_lineup_covers_fig4():
+    from repro.harness.experiments import FIG4_PREFETCHERS
+    from repro.harness.perfbench import DEFAULT_PREFETCHERS
+
+    assert set(FIG4_PREFETCHERS) <= (set(DEFAULT_PREFETCHERS)
+                                     | {"pathfinder+nl+sisb"})
+
+
+def test_new_lineup_names_are_skipped_against_committed_report(committed,
+                                                               fresh):
+    """The committed report times five prefetchers; names added to the
+    lineup since have no baseline there and are skipped, not failed."""
+    from repro.harness.compare import compare_bench_reports
+
+    assert "pythia" not in committed["prefetchers"]
+    # Every timing of a prefetcher without a baseline is inflated: the
+    # gate must not look at it, while NextLine is still compared.
+    slow = json.loads(json.dumps(fresh))
+    slow["prefetchers"]["pythia"]["replay_s"] *= 1e6
+    slow["prefetchers"]["pythia"]["replay_batch_s"] *= 1e6
+    assert compare_bench(slow, committed, max_regress=1e9) == []
+    result = compare_bench_reports(committed, slow, max_regress=1e9)
+    assert result.regressions == []
+    assert "prefetcher pythia only in run B" in result.anomalies
+    assert any(name == "nextline" for name, *_ in result.deltas)
 
 
 def test_schema_v2_round_trips_through_disk(report, tmp_path):

@@ -42,6 +42,8 @@ def test_pythia_config_validation():
         PythiaConfig(alpha=0.0)
     with pytest.raises(ConfigError):
         PythiaConfig(gamma=1.0)
+    with pytest.raises(ConfigError):
+        PythiaConfig(actions=(0, 1, 1))  # one Q column per delta
 
 
 def test_pythia_learns_constant_delta():
@@ -91,6 +93,36 @@ def test_pythia_prefetches_stay_in_page():
     for r in generate_prefetches(PythiaPrefetcher(), trace):
         trigger_pages = {a.instr_id: a.page for a in trace}
         assert (r.address >> 12) == trigger_pages[r.trigger_instr_id]
+
+
+#: SHA-256 of Pythia's prefetch file (one ``trigger,address`` line per
+#: request) at 2500 loads, seed 5, recorded with the earlier
+#: ``{(feature, action): q}`` vault layout.  The per-feature Q-row
+#: layout must keep the same adds, tie order and RNG stream.
+PYTHIA_GOLDEN_DIGESTS = {
+    "cc-5":
+        "0f5d6570b2e401d6217e93655179b9ff8811d83c33112842a816988e8e330779",
+    "482-sphinx-s0":
+        "4f37f5b091670d847602a958fac54662baa16413068d4e87220618423f34b6ce",
+    "623-xalan-s1":
+        "b0fcdbfb8fc5d64a2d3fc79bf17eca0f7cdc59b69693035c524fe60bafb37fa2",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PYTHIA_GOLDEN_DIGESTS))
+def test_pythia_prefetch_file_matches_golden_digest(workload):
+    import hashlib
+
+    from repro.traces import make_trace
+
+    requests = generate_prefetches(PythiaPrefetcher(),
+                                   make_trace(workload, 2500, seed=5),
+                                   budget=2)
+    digest = hashlib.sha256()
+    for request in requests:
+        digest.update(
+            f"{request.trigger_instr_id},{request.address}\n".encode())
+    assert digest.hexdigest() == PYTHIA_GOLDEN_DIGESTS[workload]
 
 
 # -- Delta-LSTM ---------------------------------------------------------------
