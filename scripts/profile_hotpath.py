@@ -1,25 +1,22 @@
 #!/usr/bin/env python
 """Break PATHFINDER prefetch-file generation into hot-path buckets.
 
-Times one instrumented *scalar* run (the parity oracle) and reports
-where ``prefetch_file_s`` goes:
+Times one instrumented run of the production pipeline
+(``PathfinderPrefetcher.process_batch``) and reports where
+``prefetch_file_s`` goes, one bucket per pass:
 
-- **encode** — pixel-matrix encoding (``encode_history_sparse``),
-  including the LRU memo hits and misses;
-- **rank** — the SNN one-tick drive/winner computation;
-- **stdp** — the fused winner-column STDP + theta update share of the
-  SNN query (estimated by replaying the recorded query stream on a
-  fresh network with and without learning and scaling the measured
-  query bucket by the difference);
-- **table-lookup** — Training-Table bookkeeping plus Inference-Table
-  observe/predict;
+- **pass1-tables** — Training-Table bookkeeping and pixel encoding
+  (the encoder's LRU memo hits and misses included);
+- **pass2-snn** — the SNN queries: the compiled window kernel, or the
+  per-query loop when it falls back (the run's ``snn_kernel`` status
+  prints alongside);
+- **pass3-predict** — Inference-Table observes, weight-repair resets,
+  predictions and prefetch-address composition;
 - **driver/other** — everything else (trace columns, the chunk loop,
-  prefetch-address composition).
+  budget enforcement).
 
-The batched pipeline fuses these stages (one compiled window call per
-chunk), so the scalar breakdown is the *why* behind the batched
-numbers; the script prints the batched wall time alongside for the
-speedup headline.
+The uninstrumented wall time prints alongside, so the wrapper cost is
+visible.
 
 The replay side gets the same treatment: one instrumented
 *reference-engine* run (the parity oracle — the only engine with
@@ -52,7 +49,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.harness.runner import default_hierarchy, make_prefetcher  # noqa: E402
-from repro.prefetchers.base import Prefetcher, generate_prefetches  # noqa: E402
+from repro.prefetchers.base import generate_prefetches  # noqa: E402
 from repro.sim.simulator import Simulator, simulate  # noqa: E402
 from repro.traces import make_trace  # noqa: E402
 
@@ -145,28 +142,35 @@ def profile_replay(trace, requests, prefetcher_name):
     return rows, reference_s, batch_s
 
 
-def stdp_fraction(queries) -> float:
-    """Share of SNN-query time spent on STDP + theta updates.
+def profile_generation(trace, budget):
+    """Generation buckets from one instrumented production run.
 
-    Replays the recorded (active, learn) query stream on two fresh
-    networks — learning as recorded vs. forced off — and returns the
-    relative difference.  The learning-off replay's winners diverge
-    after the first update, but the per-query arithmetic is the same
-    shape, which is what the estimate needs.
+    Returns ``(rows, plain_s, instrumented_s, prefetcher)`` where
+    ``rows`` is ``[(bucket, calls, seconds), ...]`` summing (with the
+    driver/other remainder) to ``instrumented_s``.
     """
-    def replay(learn_on: bool) -> float:
-        net = make_prefetcher("pathfinder").network
-        t0 = time.perf_counter()
-        for active, learn in queries:
-            net.present_one_tick(None, learn=(learn and learn_on),
-                                 active=active, binary=True)
-        return time.perf_counter() - t0
+    # Uninstrumented wall time first (it also pays any kernel compile).
+    t0 = time.perf_counter()
+    generate_prefetches(make_prefetcher("pathfinder"), trace, budget)
+    plain_s = time.perf_counter() - t0
 
-    with_learning = replay(True)
-    without = replay(False)
-    if with_learning <= 0.0:
-        return 0.0
-    return max(0.0, (with_learning - without) / with_learning)
+    pf = make_prefetcher("pathfinder")
+    buckets = {"pass1-tables": "_table_pass", "pass2-snn": "_snn_pass",
+               "pass3-predict": "_predict_pass"}
+    timed = {}
+    for bucket_name, method in buckets.items():
+        timed[bucket_name] = Bucket()
+        wrap(pf, method, timed[bucket_name])
+    t0 = time.perf_counter()
+    generate_prefetches(pf, trace, budget)
+    instrumented_s = time.perf_counter() - t0
+
+    rows = [(name, bucket.calls, bucket.seconds)
+            for name, bucket in timed.items()]
+    accounted = sum(seconds for _, _, seconds in rows)
+    rows.append(("driver/other", len(trace),
+                 max(0.0, instrumented_s - accounted)))
+    return rows, plain_s, instrumented_s, pf
 
 
 def main() -> int:
@@ -183,69 +187,20 @@ def main() -> int:
 
     trace = make_trace(args.workload, args.loads)
 
-    # Production (batched) wall time first, untouched by wrappers.
-    pf = make_prefetcher("pathfinder")
-    t0 = time.perf_counter()
-    generate_prefetches(pf, trace, args.budget)
-    batched_s = time.perf_counter() - t0
-
-    # Instrumented scalar oracle run.
-    pf = make_prefetcher("pathfinder")
-    buckets = {name: Bucket()
-               for name in ("encode", "snn-query", "table-lookup")}
-    wrap(pf.encoder, "encode_history_sparse", buckets["encode"])
-    for name in ("lookup", "insert", "record_delta"):
-        wrap(pf.training_table, name, buckets["table-lookup"])
-    for name in ("observe", "predict"):
-        wrap(pf.inference_table, name, buckets["table-lookup"])
-
-    queries = []
-    inner_run = pf._run_network
-
-    def run_network(rates, learn, active=None):
-        queries.append((active, learn))
-        t0 = time.perf_counter()
-        try:
-            return inner_run(rates, learn, active=active)
-        finally:
-            buckets["snn-query"].seconds += time.perf_counter() - t0
-            buckets["snn-query"].calls += 1
-
-    pf._run_network = run_network
-    # Route through the scalar per-access loop: the buckets above are
-    # the scalar pipeline's seams (the batched path fuses them).
-    pf.process_batch = (
-        lambda a, p, i: Prefetcher.process_batch(pf, a, p, i))
-
-    t0 = time.perf_counter()
-    generate_prefetches(pf, trace, args.budget)
-    scalar_s = time.perf_counter() - t0
-
-    snn = buckets.pop("snn-query")
-    fraction = stdp_fraction(queries)
-    rows = [
-        ("encode", buckets["encode"].calls, buckets["encode"].seconds),
-        ("rank", snn.calls, snn.seconds * (1.0 - fraction)),
-        ("stdp", snn.calls, snn.seconds * fraction),
-        ("table-lookup", buckets["table-lookup"].calls,
-         buckets["table-lookup"].seconds),
-    ]
-    accounted = sum(seconds for _, _, seconds in rows)
-    rows.append(("driver/other", len(trace),
-                 max(0.0, scalar_s - accounted)))
-
+    rows, plain_s, instrumented_s, pf = profile_generation(trace,
+                                                           args.budget)
     print(f"workload={args.workload} loads={args.loads} "
           f"budget={args.budget}")
-    print(f"scalar prefetch_file_s:  {scalar_s:.4f} (instrumented)")
-    print(f"batched prefetch_file_s: {batched_s:.4f} "
-          f"({scalar_s / batched_s:.2f}x vs instrumented scalar)")
-    print(f"encoder cache hits/misses: {pf.encoder.cache_hits}"
-          f"/{pf.encoder.cache_misses}")
+    print(f"prefetch_file_s: {plain_s:.4f} "
+          f"({instrumented_s:.4f} instrumented)")
+    print(f"SNN kernel: {pf.snn_kernel}; "
+          f"queries: {pf.snn_queries}; encoder cache hits/misses: "
+          f"{pf.encoder.cache_hits}/{pf.encoder.cache_misses}")
     print()
     print(f"{'bucket':<14} {'calls':>8} {'seconds':>9} {'share':>7}")
     for name, calls, seconds in rows:
         print(f"{name:<14} {calls:>8} {seconds:>9.4f} "
-              f"{seconds / scalar_s:>6.1%}")
+              f"{seconds / instrumented_s:>6.1%}")
 
     # -- replay-side buckets ---------------------------------------------
     replay_pf = make_prefetcher(args.prefetcher)

@@ -360,6 +360,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ["prefetch-gen time", f"{row.timings.get('prefetch_file_s', 0.0):.3f}s"],
         ["replay time", f"{row.timings.get('replay_s', 0.0):.3f}s"],
     ]
+    if "snn_kernel" in row.extras:
+        rows.append(["SNN kernel", row.extras["snn_kernel"]])
     if obs is not None and obs.profiler.peak_memory_bytes is not None:
         rows.append(["peak memory",
                      f"{obs.profiler.peak_memory_bytes / 1e6:.1f} MB"])

@@ -14,19 +14,26 @@ Per demand load, PATHFINDER:
    reconciliation;
 5. issues up to ``degree`` prefetches from the firing neurons' labels
    whose confidence clears the threshold.
+
+The steps run chunk-wise in the three passes of
+:meth:`PathfinderPrefetcher.process_batch`;
+:meth:`~PathfinderPrefetcher.process` is its one-access call.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import EngineFallbackWarning
 from ..prefetchers.base import Prefetcher
 from ..snn.monitors import SpikeMonitor
-from ..snn.network import DiehlCookNetwork, NetworkConfig, RunRecord
+from ..snn.network import (DiehlCookNetwork, NetworkConfig, RunRecord,
+                           load_tick_kernel)
 from ..snn.neurons import LIFConfig
 from ..snn.stdp import STDPConfig
 from ..types import (
@@ -34,11 +41,10 @@ from ..types import (
     BLOCKS_PER_PAGE,
     PAGE_BITS,
     MemoryAccess,
-    compose_address,
 )
 from .config import PathfinderConfig
 from .inference_table import InferenceTable
-from .pixel import PixelMatrixEncoder
+from .pixel import PixelMatrixEncoder, SparseEncoding
 from .training_table import TrainingEntry, TrainingTable
 
 
@@ -72,14 +78,17 @@ class PathfinderPrefetcher(Prefetcher):
         # interval's most-firing neuron.
         self.first_tick_matches = 0
         self.first_tick_total = 0
+        # How pass 2 ran the SNN queries: ``"used"`` (the compiled
+        # window kernel) or ``"fallback:<reason>"``; ``None`` before
+        # the first query.
+        self.snn_kernel: Optional[str] = None
         # Armed by attach_observability(): the SpikeMonitor bridge that
         # feeds SNN telemetry into the metrics registry.
         self.monitor: Optional[SpikeMonitor] = None
         self._obs = None
         # Armed by series_arm() (``--series``): windowed
-        # learning-dynamics bookkeeping.  Unlike the SpikeMonitor this
-        # does NOT force the batched pipeline onto the scalar path —
-        # it only counts at existing decision points.
+        # learning-dynamics bookkeeping, counted at existing decision
+        # points of the pipeline.
         self._series_armed = False
         self._series_pred_checked = 0
         self._series_pred_correct = 0
@@ -230,124 +239,56 @@ class PathfinderPrefetcher(Prefetcher):
             return True
         return (self.accesses_seen % epoch) < self.config.stdp_on_accesses
 
-    # -- main per-access step ------------------------------------------------
+    # -- the generation pipeline ---------------------------------------------
 
     def process(self, access: MemoryAccess) -> List[int]:
-        self.accesses_seen += 1
-        # Inlined MemoryAccess.page/.offset and encoder.in_range: this
-        # per-access path runs for every demand load, so the property
-        # and method dispatch overhead is measurable.
-        address = access.address
-        page = address >> PAGE_BITS
-        offset = (address >> BLOCK_BITS) & (BLOCKS_PER_PAGE - 1)
-
-        entry = self.training_table.lookup(access.pc, page)
-        if entry is None:
-            entry = self.training_table.insert(access.pc, page, offset)
-            return self._query_and_predict(entry, page, offset,
-                                           first_offset=offset)
-
-        delta = offset - entry.last_offset
-        entry.last_offset = offset
-        if delta == 0:
-            # Repeat access to the same block: nothing to learn or do.
-            return []
-
-        bound = self.config.max_delta
-        in_range = -bound <= delta <= bound
-        if entry.fired_neuron is not None and in_range:
-            if self._series_armed and entry.predicted:
-                self._series_pred_checked += 1
-                if delta in entry.predicted:
-                    self._series_pred_correct += 1
-            self.inference_table.observe(entry.fired_neuron, delta)
-        self.training_table.record_delta(entry, delta, in_range)
-        if not in_range:
-            return []
-        return self._query_and_predict(entry, page, offset)
-
-    def _query_and_predict(self, entry, page: int, offset: int,
-                           first_offset: Optional[int] = None) -> List[int]:
-        cfg = self.config
-        encoding = self.encoder.encode_history_sparse(
-            entry.deltas, first_offset=first_offset)
-        if encoding is None:
-            entry.fired_neuron = None
-            return []
-        learn = self._learning_enabled()
-        record = self._run_network(encoding.rates, learn,
-                                   active=encoding.active)
-        self.snn_queries += 1
-        entry.fired_neuron = record.winner
-        if record.winner is None:
-            return []
-        if self._series_armed:
-            counts = self._series_winner_counts
-            counts[record.winner] = counts.get(record.winner, 0) + 1
-
-        degree = cfg.degree
-        predict = self.inference_table.predict
-        predictions: List[int] = []
-        for neuron in record.winners(degree):
-            for label in predict(
-                    neuron, min_confidence=cfg.confidence_threshold):
-                if label not in predictions:
-                    predictions.append(label)
-                if len(predictions) >= degree:
-                    break
-            if len(predictions) >= degree:
-                break
-        entry.predicted = tuple(predictions)
-
-        addresses: List[int] = []
-        page_base = page << PAGE_BITS
-        for label in predictions:
-            target = offset + label
-            if 0 <= target < BLOCKS_PER_PAGE:
-                # compose_address(page, target), bounds check already done.
-                addresses.append(page_base | (target << BLOCK_BITS))
-        self.prefetches_emitted += len(addresses)
-        return addresses
+        # A one-access chunk.  Bound to the class so an instance-level
+        # process_batch override (the base per-access loop) still ends
+        # here rather than recursing.
+        return PathfinderPrefetcher.process_batch(
+            self, [access.address], [access.pc], [access.instr_id])[0]
 
     def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
-        """Columnar form of :meth:`process` over a trace chunk.
+        """PATHFINDER's per-access work over a trace chunk.
 
         Three passes (docs/architecture.md, "Batched columnar
         pipeline"):
 
-        1. **Table pass** — vectorized page/offset math, then a tight
-           sequential walk over the chunk doing the Training-Table
-           bookkeeping and pixel-encoder lookups, queueing one *op*
-           per Inference-Table interaction.  SNN winners for queries
+        1. :meth:`_table_pass` — vectorized page/offset math, then a
+           tight sequential walk doing the Training-Table bookkeeping
+           and pixel-encoder lookups, queueing one *op* per
+           Inference-Table interaction.  SNN winners for queries
            inside the chunk are not known yet, so an observe against a
            not-yet-run query records a placeholder token resolved in
            pass 3.
-        2. **SNN pass** — all queued queries run through
-           :meth:`~repro.snn.network.DiehlCookNetwork.present_one_tick_window`
-           (the compiled window kernel) in one call.
-        3. **Predict pass** — replays the queued ops in program order
-           against the Inference Table: observes, winner recording,
-           prediction lookup, and prefetch-address composition.
+        2. :meth:`_snn_pass` — every queued query runs through the SNN
+           in program order: the compiled window kernel when it
+           applies, one query at a time otherwise.
+        3. :meth:`_predict_pass` — replays the queued ops in program
+           order against the Inference Table: weight-repair label
+           resets, observes, winner recording, prediction lookup and
+           prefetch-address composition.
 
-        The sequential-dependency boundaries are exact: every state
-        update (STDP/theta inside the SNN window, table mutations
-        here) happens in the same order as the scalar path, so results
-        are bit-identical — the parity suite drives both paths across
-        chunk sizes including 1.
-
-        Falls back to the scalar loop whenever the one-tick fast path
-        does not apply, a :class:`SpikeMonitor` is armed (it needs
-        per-query :class:`RunRecord`\\ s), or a fault plan is active
-        (the per-query fault hooks must fire).
+        Every state update (STDP/theta in pass 2, table mutations in
+        passes 1 and 3) happens in program order, so every chunk size
+        — one access included — yields the same prefetch file; the
+        parity suite pins it against the dense reference SNN and
+        golden digests.
         """
-        from ..resilience import faults
+        ops, encodings, learns = self._table_pass(addresses, pcs)
+        winners, ranked, repairs = self._snn_pass(encodings, learns)
+        return self._predict_pass(len(addresses), ops, winners, ranked,
+                                  repairs)
 
+    def _table_pass(self, addresses, pcs):
+        """Pass 1: tables and encoding; returns ``(ops, encodings, learns)``.
+
+        ``ops`` preserves program order: ``(access_idx, entry,
+        query_idx, offset, page)`` queries and ``(fired, delta)``
+        observes.  A negative ``fired`` is a placeholder for the winner
+        of this chunk's query ``-fired - 1``.
+        """
         cfg = self.config
-        net = self.network
-        if (not cfg.one_tick or not net.fast or self.monitor is not None
-                or faults.ACTIVE is not None):
-            return Prefetcher.process_batch(self, addresses, pcs, instr_ids)
-
         addresses = np.asarray(addresses)
         n = len(addresses)
         pages_l = (addresses >> PAGE_BITS).tolist()
@@ -374,14 +315,9 @@ class PathfinderPrefetcher(Prefetcher):
         seen = self.accesses_seen
         armed = self._series_armed
 
-        # Pass 1: tables + encoding.  ``ops`` preserves program order:
-        # (access_idx, entry, query_idx, offset, page) queries and
-        # (fired_or_token, delta) observes.  A negative ``fired`` is a
-        # placeholder for an in-chunk query's winner.
-        results: List[Optional[List[int]]] = [None] * n
         ops: List[tuple] = []
-        query_actives: List[np.ndarray] = []
-        query_learns: List[bool] = []
+        encodings: List[SparseEncoding] = []
+        learns: List[bool] = []
         for i in range(n):
             seen += 1
             page = pages_l[i]
@@ -404,6 +340,7 @@ class PathfinderPrefetcher(Prefetcher):
                 delta = offset - entry.last_offset
                 entry.last_offset = offset
                 if delta == 0:
+                    # Repeat access to the same block: nothing to learn.
                     continue
                 if not -bound <= delta <= bound:
                     entry.deltas.clear()
@@ -413,7 +350,7 @@ class PathfinderPrefetcher(Prefetcher):
                 if fired is not None:
                     # Armed series runs carry the entry so pass 3 can
                     # check ``delta in entry.predicted`` in program
-                    # order — exactly the scalar path's accuracy site.
+                    # order, right before the observe.
                     ops.append((fired, delta, entry) if armed
                                else (fired, delta))
                 d = entry.deltas
@@ -432,50 +369,102 @@ class PathfinderPrefetcher(Prefetcher):
             else:
                 enc_cache_move(padded)
                 enc_hits += 1
-            learn = (True if epoch is None
-                     else (seen % epoch) < on_accesses)
-            qidx = len(query_actives)
-            query_actives.append(encoding.active)
-            query_learns.append(learn)
+            qidx = len(encodings)
+            encodings.append(encoding)
+            learns.append(True if epoch is None
+                          else (seen % epoch) < on_accesses)
             entry.fired_neuron = -qidx - 1
             ops.append((i, entry, qidx, offset, page))
         self.accesses_seen = seen
         self.encoder.cache_hits += enc_hits
+        return ops, encodings, learns
 
-        # Pass 2: one batched SNN window for every queued query.
-        if query_actives:
-            winners = net.present_one_tick_window(query_actives,
-                                                  query_learns)
-            self.snn_queries += len(query_actives)
-            self.stdp_updates += sum(query_learns)
-            # Weight repairs are unreachable here (no fault plan is
-            # armed and the arithmetic preserves finiteness), but keep
-            # the drain so the counters can never silently diverge.
-            for neuron in net.drain_repaired_neurons():
-                self.inference_table.reset_neuron(neuron)
-                self.neuron_repairs += 1
-        else:
-            winners = []
+    def _snn_pass(self, encodings: List[SparseEncoding],
+                  learns: List[bool]):
+        """Pass 2: run the queued SNN queries in program order.
 
-        # Pass 3: replay table interactions in program order.  Observe
-        # ops are 2-tuples, query ops 5-tuples; the prediction ranking
-        # of :meth:`InferenceTable.predict` is inlined (same stable
-        # two-slot comparison, then threshold filter + dedup + degree
-        # cut in the scalar caller's exact order).
+        Returns ``(winners, ranked, repairs)``: each query's winner
+        (``None`` for a silent multi-tick interval); for queries where
+        several neurons fired (multi-tick, ``degree > 1``) their
+        :meth:`RunRecord.winners` ranking; and the neurons each
+        query's weight-health check repaired.
+
+        The compiled window kernel runs the window whenever
+        :meth:`_window_kernel` hands one out.  Otherwise — and for the
+        rest of the window if the kernel hands back on a non-finite
+        health scan — this is the one per-query loop, each query going
+        through :meth:`_run_network`.
+        """
+        ranked: Dict[int, List[int]] = {}
+        repairs: Dict[int, Tuple[int, ...]] = {}
+        n = len(encodings)
+        if not n:
+            return [], ranked, repairs
+        net = self.network
+        winners: List[Optional[int]] = []
+        kernel = self._window_kernel()
+        if kernel is not None:
+            winners = net.present_one_tick_window(
+                kernel, [encoding.active for encoding in encodings],
+                learns)
+            done = len(winners)
+            self.stdp_updates += sum(learns[:done])
+            if self.monitor is not None:
+                self.monitor.record_one_tick(winners, net.config.n_neurons)
+            repaired = net.drain_repaired_neurons()
+            if repaired:
+                repairs[done - 1] = repaired
+        degree = self.config.degree
+        for q in range(len(winners), n):
+            record = self._run_network(encodings[q], learns[q])
+            winners.append(record.winner)
+            if degree > 1 and record.winner is not None:
+                neurons = record.winners(degree)
+                if len(neurons) > 1:
+                    ranked[q] = neurons
+            repaired = net.drain_repaired_neurons()
+            if repaired:
+                repairs[q] = repaired
+        self.snn_queries += n
+        return winners, ranked, repairs
+
+    def _predict_pass(self, n: int, ops: List[tuple],
+                      winners: List[Optional[int]],
+                      ranked: Dict[int, List[int]],
+                      repairs: Dict[int, Tuple[int, ...]]
+                      ) -> List[List[int]]:
+        """Pass 3: replay table interactions in program order.
+
+        Observe ops are 2- or 3-tuples, query ops 5-tuples.  A query
+        first erases the labels of the neurons its interval repaired
+        (their labels were learned by weights that no longer exist),
+        then records its winner and predicts: the ranking of
+        :meth:`InferenceTable.predict` is inlined for the winner (same
+        stable two-slot comparison), then threshold filter, dedup and
+        degree cut.
+        """
+        cfg = self.config
         it = self.inference_table
         observe = it.observe
+        predict = it.predict
         slots_all = it._slots
         threshold = cfg.confidence_threshold
         degree = cfg.degree
+        armed = self._series_armed
+        results: List[Optional[List[int]]] = [None] * n
         emitted = 0
         pred_checked = pred_correct = 0
         winner_counts = self._series_winner_counts
         for op in ops:
             if len(op) < 5:
                 fired = op[0]
-                delta = op[1]
                 if fired < 0:
                     fired = winners[-fired - 1]
+                    if fired is None:
+                        # That query's interval stayed silent: there
+                        # is no neuron to reconcile.
+                        continue
+                delta = op[1]
                 if len(op) == 3:
                     predicted = op[2].predicted
                     if predicted:
@@ -485,22 +474,37 @@ class PathfinderPrefetcher(Prefetcher):
                 observe(fired, delta)
                 continue
             i, entry, qidx, offset, page = op
+            if repairs and qidx in repairs:
+                for neuron in repairs[qidx]:
+                    it.reset_neuron(neuron)
+                    self.neuron_repairs += 1
             winner = winners[qidx]
-            if armed:
-                winner_counts[winner] = winner_counts.get(winner, 0) + 1
             # Only resolve the placeholder if a later access didn't
             # already clear or re-query this stream.
             if entry.fired_neuron == -qidx - 1:
                 entry.fired_neuron = winner
+            if winner is None:
+                continue
+            if armed:
+                winner_counts[winner] = winner_counts.get(winner, 0) + 1
             predictions: List[int] = []
-            ranked = slots_all[winner]
-            if ranked:
-                if len(ranked) == 2:
-                    if ranked[1].confidence > ranked[0].confidence:
-                        ranked = (ranked[1], ranked[0])
-                elif len(ranked) > 2:
-                    ranked = sorted(ranked, key=lambda s: -s.confidence)
-                for slot in ranked:
+            if ranked and qidx in ranked:
+                # Several neurons fired (multi-tick, degree > 1): each
+                # one's labels in turn, most spikes first.
+                for label in [label for neuron in ranked[qidx]
+                              for label in predict(neuron, threshold)]:
+                    if label not in predictions:
+                        predictions.append(label)
+                        if len(predictions) >= degree:
+                            break
+            else:
+                slots = slots_all[winner]
+                if len(slots) == 2:
+                    if slots[1].confidence > slots[0].confidence:
+                        slots = (slots[1], slots[0])
+                elif len(slots) > 2:
+                    slots = sorted(slots, key=lambda s: -s.confidence)
+                for slot in slots:
                     if slot.confidence >= threshold:
                         label = slot.label
                         if label not in predictions:
@@ -524,51 +528,70 @@ class PathfinderPrefetcher(Prefetcher):
             self._series_pred_correct += pred_correct
         return [r if r is not None else [] for r in results]
 
-    def _drain_repairs(self) -> None:
-        """Propagate SNN weight repairs into the inference table.
+    def _window_kernel(self):
+        """The compiled window kernel for pass 2, or ``None``.
 
-        A repaired neuron is a brand-new model: its labels were learned
-        by weights that no longer exist, so they are erased rather than
-        left to mispredict until confidence drains.
+        The kernel implements only the fast one-tick query, and the
+        per-query fault hook does not fire inside it.  Any other case
+        takes the per-query loop, and never silently: the reason lands
+        in :attr:`snn_kernel` and is announced once per run with an
+        :class:`~repro.errors.EngineFallbackWarning`.
         """
-        for neuron in self.network.drain_repaired_neurons():
-            self.inference_table.reset_neuron(neuron)
-            self.neuron_repairs += 1
+        from ..resilience import faults
 
-    def _run_network(self, rates: np.ndarray, learn: bool,
-                     active: Optional[np.ndarray] = None) -> RunRecord:
+        cfg = self.config
+        kernel = None
+        if not cfg.one_tick:
+            reason = "multi-tick config"
+        elif not cfg.fast_snn:
+            reason = "fast_snn off"
+        elif faults.ACTIVE is not None:
+            reason = "fault plan armed"
+        else:
+            kernel = load_tick_kernel()
+            reason = None if kernel is not None else "no SNN kernel"
+        if reason is None:
+            if self.snn_kernel is None:
+                self.snn_kernel = "used"
+        elif self.snn_kernel != "fallback:" + reason:
+            self.snn_kernel = "fallback:" + reason
+            warnings.warn(EngineFallbackWarning(
+                f"PATHFINDER SNN queries run one at a time ({reason}); "
+                "the compiled window kernel is not used"), stacklevel=2)
+        return kernel
+
+    def _run_network(self, encoding: SparseEncoding,
+                     learn: bool) -> RunRecord:
+        """One SNN query of pass 2's per-query loop."""
         if learn:
             self.stdp_updates += 1
         if self.config.one_tick:
             # The encoder only emits full-intensity pixels, so the
-            # binary-rates fast path applies whenever it supplied the
-            # support set.
+            # binary-rates fast path applies.
             record = self.network.present_one_tick(
-                rates, learn=learn, active=active,
-                binary=True if active is not None else None)
-            if self.monitor is not None:
-                self.monitor.record(record)
-            self._drain_repairs()
-            return record
-        record = self.network.present(rates, learn=learn)
-        self._drain_repairs()
+                encoding.rates, learn=learn, active=encoding.active,
+                binary=True)
+        else:
+            record = self.network.present(encoding.rates, learn=learn)
+            if record.winner is not None:
+                # Table 1 statistic: would the 1-tick rule (highest
+                # potential after the first tick, normalised by each
+                # neuron's effective threshold distance) have picked
+                # the interval's winner?
+                self.first_tick_total += 1
+                exc = self.network.exc
+                rise = record.potentials_first_tick - exc.config.rest
+                gap = exc.config.threshold_gap + exc.theta
+                first_tick_winner = int(
+                    np.argmax(rise / np.maximum(gap, 1e-9)))
+                # Count a match when the tick-1 leader is any of the
+                # interval's most-firing neurons (co-specialised
+                # neurons legitimately tie on spike counts).
+                best_count = record.spike_counts.max()
+                if record.spike_counts[first_tick_winner] == best_count:
+                    self.first_tick_matches += 1
         if self.monitor is not None:
             self.monitor.record(record)
-        if record.winner is not None:
-            # Table 1 statistic: would the 1-tick rule (highest potential
-            # after the first tick, normalised by each neuron's effective
-            # threshold distance) have picked the interval's winner?
-            self.first_tick_total += 1
-            exc = self.network.exc
-            rise = record.potentials_first_tick - exc.config.rest
-            gap = exc.config.threshold_gap + exc.theta
-            first_tick_winner = int(np.argmax(rise / np.maximum(gap, 1e-9)))
-            # Count a match when the tick-1 leader is any of the
-            # interval's most-firing neurons (co-specialised neurons
-            # legitimately tie on spike counts).
-            best_count = record.spike_counts.max()
-            if record.spike_counts[first_tick_winner] == best_count:
-                self.first_tick_matches += 1
         return record
 
     def reset(self) -> None:
@@ -592,6 +615,7 @@ class PathfinderPrefetcher(Prefetcher):
         self.neuron_repairs = 0
         self.first_tick_matches = 0
         self.first_tick_total = 0
+        self.snn_kernel = None
         self._series_armed = False
         self._series_pred_checked = 0
         self._series_pred_correct = 0

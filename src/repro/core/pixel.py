@@ -211,43 +211,17 @@ class PixelMatrixEncoder:
         padded = [0] * (self._height - len(deltas)) + list(deltas)
         return self.encode(padded)
 
-    def encode_history_sparse(self, deltas: Sequence[int],
-                              first_offset: Optional[int] = None
-                              ) -> Optional[SparseEncoding]:
-        """Memoised sparse form of :meth:`encode_history`.
-
-        Same padding/clipping semantics, but the result carries its
-        active-pixel support and is cached (LRU, keyed by the padded
-        ``history_key``) — delta histories repeat heavily in real
-        traces, so most accesses hit the cache and skip encoding
-        entirely.  The returned arrays are read-only and shared; the
-        ``rates`` values are bit-identical to :meth:`encode_history`
-        and ``active`` equals ``np.flatnonzero(rates)``.
-        """
-        cfg = self.config
-        bound = self._center
-        clipped = [(-bound if d < -bound else (bound if d > bound else d))
-                   for d in deltas]
-        if len(clipped) >= self._height:
-            padded = clipped[-self._height:]
-        elif not cfg.cold_page_encoding:
-            return None
-        elif not clipped:
-            if first_offset is None:
-                return None
-            padded = [self._clip(first_offset)] + [0] * (self._height - 1)
-        else:
-            padded = [0] * (self._height - len(clipped)) + clipped
-        return self.encode_padded_key(tuple(padded))
-
     def encode_padded_key(self, key: Tuple[int, ...]) -> SparseEncoding:
-        """Cache-first encoding of an already-padded, in-range key.
+        """Memoised sparse encoding of an already-padded, in-range key.
 
-        The batched PATHFINDER pass builds the padded history key
-        itself (its deltas are in range by construction, so the
-        clipping pass of :meth:`encode_history_sparse` is a no-op) and
-        calls this directly; both entry points share the one cache, so
-        scalar and batched runs hit the same memo table.
+        PATHFINDER's table pass builds the padded history key itself
+        (the :meth:`encode_history` cold-page padding; its deltas are
+        in range by construction) and looks it up here.  Results are
+        cached (LRU, keyed by the padded history) — delta histories
+        repeat heavily in real traces, so most accesses skip encoding
+        entirely.  The returned arrays are read-only and shared; the
+        ``rates`` values are bit-identical to :meth:`encode` and
+        ``active`` equals ``np.flatnonzero(rates)``.
         """
         cached = self._cache.get(key)
         if cached is not None:

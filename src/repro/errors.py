@@ -84,16 +84,19 @@ class SimulationError(ReproError):
 
 
 class EngineFallbackWarning(UserWarning):
-    """A replay engine request was downgraded to a compatible engine.
+    """A compiled kernel was not used; a slower equivalent path ran.
 
     Emitted when a ``batch`` replay runs the reference loop instead:
     by :class:`repro.sim.simulator.Simulator` for event tracing or
     non-LRU replacement, and by the batch driver when no replay kernel
-    is available or the trace cannot be planned for it.  A warning,
-    not an error: results are bit-identical across engines, only
-    wall-clock changes — but silent downgrades made benchmark numbers
-    lie, so the downgrade is visible and filterable.
-    ``Simulator.engine_used`` reports what actually ran.
+    is available or the trace cannot be planned for it.  Also emitted
+    once per run when PATHFINDER's SNN queries skip the window kernel
+    (no kernel, an armed fault plan, a multi-tick config or
+    ``fast_snn`` off).  A warning, not an error: results are
+    bit-identical across paths, only wall-clock changes — but silent
+    downgrades made benchmark numbers lie, so the downgrade is visible
+    and filterable.  ``Simulator.engine_used`` and
+    ``PathfinderPrefetcher.snn_kernel`` report what actually ran.
     """
 
 

@@ -162,8 +162,10 @@ class EvalRow:
     #: ``{"prefetch_file_s": ..., "replay_s": ...}``.
     timings: Dict[str, float] = field(default_factory=dict)
     #: Resilience accounting: ``engine_used`` (the replay engine that
-    #: actually ran, after any fallback) on every simulated row, plus —
-    #: when resilience machinery engaged — keys like ``outcome``
+    #: actually ran, after any fallback) on every simulated row,
+    #: ``snn_kernel`` (``"used"`` or ``"fallback:<reason>"``) on rows
+    #: whose prefetcher holds a PATHFINDER, plus — when resilience
+    #: machinery engaged — keys like ``outcome``
     #: ("ok"/"retried"/"failed"), ``attempts``, ``error``,
     #: ``prefetcher_errors``, ``quarantined`` (see docs/architecture.md).
     extras: Dict[str, object] = field(default_factory=dict)
@@ -231,6 +233,23 @@ def _annotate_phases(obs: Observability, trace_name: str,
     return annotations
 
 
+def _snn_kernel(prefetcher: Prefetcher) -> Optional[str]:
+    """How a PATHFINDER inside ``prefetcher`` (itself, a guard's
+    ``inner`` or an ensemble member) ran its SNN queries: ``"used"``
+    or ``"fallback:<reason>"``; ``None`` if there is none."""
+    pending = [prefetcher]
+    while pending:
+        current = pending.pop()
+        status = getattr(current, "snn_kernel", None)
+        if status is not None:
+            return status
+        pending.extend(getattr(current, "members", ()))
+        inner = getattr(current, "inner", None)
+        if inner is not None:
+            pending.append(inner)
+    return None
+
+
 def run_prefetcher(trace: Trace, prefetcher: Prefetcher,
                    baseline: SimResult,
                    hierarchy: Optional[HierarchyConfig] = None,
@@ -280,6 +299,9 @@ def run_prefetcher(trace: Trace, prefetcher: Prefetcher,
         # timing never lands under the batch key.
         timings["replay_batch_s"] = timings["replay_s"]
     extras: Dict[str, object] = {"engine_used": sim.engine_used}
+    snn_kernel = _snn_kernel(prefetcher)
+    if snn_kernel is not None:
+        extras["snn_kernel"] = snn_kernel
     if obs.series is not None:
         phases = _annotate_phases(obs, trace.name, prefetcher.name)
         if phases:

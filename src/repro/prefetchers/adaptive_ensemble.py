@@ -19,8 +19,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Sequence
 
+import numpy as np
+
 from ..errors import ConfigError
-from ..types import MemoryAccess, Trace
+from ..types import BLOCK_BITS, MemoryAccess, Trace
 from .base import Prefetcher
 
 
@@ -90,26 +92,45 @@ class AdaptiveEnsemblePrefetcher(Prefetcher):
                       key=lambda i: -self.scores[i])
 
     def process(self, access: MemoryAccess) -> List[int]:
-        self._credit_hit(access.block)
-        for i in range(len(self.scores)):
-            self.scores[i] *= self.decay
+        # A one-access chunk.  Bound to the class so an instance-level
+        # process_batch override (the base per-access loop) still ends
+        # here rather than recursing.
+        return AdaptiveEnsemblePrefetcher.process_batch(
+            self, [access.address], [access.pc], [access.instr_id])[0]
 
+    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+        """Each member runs the whole chunk, then slots merge per access.
+
+        Members share no state and never see the scoreboard, so
+        running each one over the chunk first is exact; the merge then
+        walks the chunk in program order: credit the demanded block,
+        decay every score, and fill the budget in priority order.
+        """
         # Every member observes every access so its tables stay warm.
-        candidates = [member.process(access) for member in self.members]
-
-        chosen: List[int] = []
-        seen_blocks = set()
-        for index in self.priority_order():
-            for address in candidates[index]:
-                block = address >> 6
-                if block in seen_blocks:
-                    continue
-                if len(chosen) < self.budget:
-                    chosen.append(address)
-                    seen_blocks.add(block)
-                    self.slots_used[index] += 1
-                    self._remember(block, index)
-        return chosen
+        candidates = [member.process_batch(addresses, pcs, instr_ids)
+                      for member in self.members]
+        blocks = (np.asarray(addresses) >> BLOCK_BITS).tolist()
+        scores = self.scores
+        decay = self.decay
+        merged: List[List[int]] = []
+        for demand_block, per_member in zip(blocks, zip(*candidates)):
+            self._credit_hit(demand_block)
+            for i in range(len(scores)):
+                scores[i] *= decay
+            chosen: List[int] = []
+            seen_blocks = set()
+            for index in self.priority_order():
+                for address in per_member[index]:
+                    block = address >> BLOCK_BITS
+                    if block in seen_blocks:
+                        continue
+                    if len(chosen) < self.budget:
+                        chosen.append(address)
+                        seen_blocks.add(block)
+                        self.slots_used[index] += 1
+                        self._remember(block, index)
+            merged.append(chosen)
+        return merged
 
     def reset(self) -> None:
         for member in self.members:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..errors import ConfigError
-from ..types import MemoryAccess, Trace
+from ..types import BLOCK_BITS, MemoryAccess, Trace
 from .base import Prefetcher
 
 
@@ -51,21 +51,41 @@ class EnsemblePrefetcher(Prefetcher):
             member.train(trace)
 
     def process(self, access: MemoryAccess) -> List[int]:
-        chosen: List[int] = []
-        seen_blocks = set()
-        for index, member in enumerate(self.members):
-            # Every member observes every access (their tables must
-            # stay warm) even when it wins no slots.
-            candidates = member.process(access)
-            for address in candidates:
-                block = address >> 6
-                if block in seen_blocks:
-                    continue
-                if len(chosen) < self.budget:
-                    chosen.append(address)
-                    seen_blocks.add(block)
-                    self.slots_used[index] += 1
-        return chosen
+        # A one-access chunk.  Bound to the class so an instance-level
+        # process_batch override (the base per-access loop) still ends
+        # here rather than recursing.
+        return EnsemblePrefetcher.process_batch(
+            self, [access.address], [access.pc], [access.instr_id])[0]
+
+    def process_batch(self, addresses, pcs, instr_ids) -> List[List[int]]:
+        """Each member runs the whole chunk, then slots merge per access.
+
+        Members share no state and never see the ensemble's choices,
+        so running each one over the chunk before merging hands the
+        per-access priority merge exactly the candidates a per-access
+        interleaving would.
+        """
+        # Every member observes every access (their tables must stay
+        # warm) even when it wins no slots.
+        candidates = [member.process_batch(addresses, pcs, instr_ids)
+                      for member in self.members]
+        budget = self.budget
+        slots_used = self.slots_used
+        merged: List[List[int]] = []
+        for per_member in zip(*candidates):
+            chosen: List[int] = []
+            seen_blocks = set()
+            for index, member_candidates in enumerate(per_member):
+                for address in member_candidates:
+                    block = address >> BLOCK_BITS
+                    if block in seen_blocks:
+                        continue
+                    if len(chosen) < budget:
+                        chosen.append(address)
+                        seen_blocks.add(block)
+                        slots_used[index] += 1
+            merged.append(chosen)
+        return merged
 
     def reset(self) -> None:
         for member in self.members:

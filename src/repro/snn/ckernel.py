@@ -29,10 +29,11 @@ matches ``np.negative(scores).argsort()[0]`` whenever the top score is
 unique (always, in practice: scores are quotients of evolving weight
 sums — the parity suites assert end-to-end identical prefetch files).
 
-If no compiler is available (or ``REPRO_NO_CKERNEL=1`` is set) the
-batch path transparently falls back to the scalar NumPy hot path —
-slower, never wrong.  Compiling, caching and loading are
-:mod:`repro._cbuild`'s job (``$REPRO_CKERNEL_CACHE``).
+If no compiler is available (or ``REPRO_NO_CKERNEL=1`` is set)
+PATHFINDER's pass 2 runs its queries one at a time through the NumPy
+hot path — slower, never wrong — and says so with an
+:class:`~repro.errors.EngineFallbackWarning`.  Compiling, caching and
+loading are :mod:`repro._cbuild`'s job (``$REPRO_CKERNEL_CACHE``).
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ def load_kernel() -> Optional[TickKernel]:
     """The process-wide compiled kernel, or ``None`` if unavailable.
 
     Compiles on first call (cached on disk afterwards).  Returns
-    ``None`` — and the SNN batch path falls back to the scalar hot
+    ``None`` — and PATHFINDER's pass 2 falls back to its per-query
     loop — when ``REPRO_NO_CKERNEL=1``, no C compiler is on PATH, or
     compilation/loading fails for any reason.
     """

@@ -7,7 +7,7 @@ multiple input intervals.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,19 @@ class SpikeMonitor:
         self.spike_counts.append(record.spike_counts.copy())
         self.winners.append(record.winner)
         self.first_spike_ticks.append(record.first_spike_tick)
+
+    def record_one_tick(self, winners: Sequence[int], n_neurons: int) -> None:
+        """Append one-tick intervals known only by their winners.
+
+        A one-tick :class:`RunRecord` is fully described by its
+        winner: a one-hot spike count and a first spike at tick 0.
+        """
+        for winner in winners:
+            counts = np.zeros(n_neurons, dtype=int)
+            counts[winner] = 1
+            self.spike_counts.append(counts)
+            self.winners.append(winner)
+            self.first_spike_ticks.append(0)
 
     @property
     def intervals(self) -> int:

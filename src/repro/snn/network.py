@@ -47,9 +47,10 @@ def _resilience_faults():
     return _FAULTS
 
 
-def _load_tick_kernel():
-    """Late-bound compiled window kernel (may be ``None``); imported
-    lazily so building a network never pays the compile probe."""
+def load_tick_kernel():
+    """The compiled one-tick window kernel, or ``None`` without a C
+    compiler (or with ``REPRO_NO_CKERNEL=1``).  Imported lazily so
+    building a network never pays the compile probe."""
     from .ckernel import load_kernel
     return load_kernel()
 
@@ -472,36 +473,32 @@ class DiehlCookNetwork:
             ranked_winners=(winner,),
         )
 
-    def present_one_tick_window(self, actives: List[np.ndarray],
+    def present_one_tick_window(self, kernel, actives: List[np.ndarray],
                                 learns: List[bool]) -> List[int]:
-        """Run a window of one-tick presentations; return the winners.
+        """Run a window of one-tick presentations through ``kernel``.
 
         Batched form of :meth:`present_one_tick` for the columnar
         prefetch pipeline: each entry of ``actives`` is a query's
         sorted active-pixel support (binary rates implied, exactly the
         pixel-matrix encoder's output) with its per-query ``learn``
-        flag.  State evolution — weights, theta, interval counter, the
+        flag, and ``kernel`` is :func:`load_tick_kernel`'s compiled
+        :mod:`repro.snn.ckernel` window kernel.  State evolution —
+        weights, theta, interval counter, the
         :data:`HEALTH_CHECK_INTERVAL` cadence — is bit-identical to
-        calling :meth:`present_one_tick` once per query; the parity
-        suite asserts identical prefetch files end to end.
+        calling :meth:`present_one_tick` once per query.
 
-        The heavy lifting happens in the compiled
-        :mod:`repro.snn.ckernel` window kernel, which runs the
-        periodic weight scan at exactly the scalar cadence and hands
-        back early if a scan turns up non-finite state.  Without a C
-        compiler the loop falls back to :meth:`present_one_tick` per
-        query (same results, scalar speed).
+        Returns the winners of the queries processed: all of them,
+        unless a due health scan turned up non-finite state
+        (unreachable without an armed fault plan).  The kernel then
+        hands back early, the stateful repair runs here exactly where
+        :meth:`present_one_tick` would run it, and the caller presents
+        the rest of the window one query at a time.
 
         Callers must ensure the fast path applies (``fast=True``) and
         no fault plan is armed — the per-query fault hook does not
         fire inside the kernel.
         """
         n = len(actives)
-        kernel = _load_tick_kernel() if self.fast else None
-        if kernel is None:
-            return [self.present_one_tick(None, learn=bool(learn),
-                                          active=active, binary=True).winner
-                    for active, learn in zip(actives, learns)]
         if n == 0:
             return []
         winners_arr = np.empty(n, dtype=np.int64)
@@ -528,19 +525,9 @@ class DiehlCookNetwork:
         self.intervals_presented += processed
         if learn_arr[:processed].any():
             self.exc.adaptation_enabled = True
-        winners = winners_arr[:processed].tolist()
         if processed < n:
-            # A due health scan saw a non-finite value (unreachable
-            # without an armed fault plan): run the stateful repair
-            # exactly where the scalar path would, then finish the
-            # window one query at a time.
             self._health_check()
-            winners.extend(
-                self.present_one_tick(None, learn=bool(learn),
-                                      active=active, binary=True).winner
-                for active, learn in zip(actives[processed:],
-                                         learns[processed:]))
-        return winners
+        return winners_arr[:processed].tolist()
 
     def present_one_tick_reference(self, rates: np.ndarray,
                                    learn: Optional[bool] = None) -> RunRecord:

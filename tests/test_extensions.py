@@ -12,16 +12,17 @@ from repro.prefetchers import (
     SISBPrefetcher,
     generate_prefetches,
 )
+from repro.prefetchers.base import Prefetcher
 from repro.types import MemoryAccess, compose_address
 
 from tests.helpers import build_trace, seq_addresses
 
 
-class Fixed(NextLinePrefetcher):
-    """Test double that always proposes the same addresses."""
+class Fixed(Prefetcher):
+    """Test double that always proposes the same addresses (a scalar
+    prefetcher: the base per-access loop is its ``process_batch``)."""
 
     def __init__(self, addresses, name="fixed"):
-        super().__init__(degree=1)
         self._fixed = list(addresses)
         self.name = name
 

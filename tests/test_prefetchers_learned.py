@@ -16,6 +16,7 @@ from repro.prefetchers import (
     VoyagerPrefetcher,
     generate_prefetches,
 )
+from repro.prefetchers.base import Prefetcher
 from repro.types import MemoryAccess, compose_address
 
 from tests.helpers import build_trace, seq_addresses
@@ -262,9 +263,8 @@ def test_ensemble_name_joins_members():
 
 
 def test_ensemble_priority_and_budget():
-    class Fixed(NextLinePrefetcher):
+    class Fixed(Prefetcher):
         def __init__(self, addresses, name):
-            super().__init__(degree=1)
             self._fixed = addresses
             self.name = name
 
@@ -280,9 +280,8 @@ def test_ensemble_priority_and_budget():
 
 
 def test_ensemble_fills_remaining_slots():
-    class Fixed(NextLinePrefetcher):
+    class Fixed(Prefetcher):
         def __init__(self, addresses):
-            super().__init__(degree=1)
             self._fixed = addresses
 
         def process(self, access):
@@ -294,9 +293,8 @@ def test_ensemble_fills_remaining_slots():
 
 
 def test_ensemble_dedups_same_block():
-    class Fixed(NextLinePrefetcher):
+    class Fixed(Prefetcher):
         def __init__(self, addresses):
-            super().__init__(degree=1)
             self._fixed = addresses
 
         def process(self, access):

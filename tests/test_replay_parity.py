@@ -13,6 +13,7 @@ cycles included, to the last float bit — to match.
 from __future__ import annotations
 
 import warnings
+from itertools import accumulate
 
 import pytest
 
@@ -262,17 +263,15 @@ def test_assured_miss_blocks_that_are_prefetch_targets_stay_scalar():
     assert batch.pf_useful >= 1
 
 
-# -- batch-engine window planner ----------------------------------------------
+# -- batch-engine replay planner ----------------------------------------------
 #
-# The batch engine segments each replay into interaction-free windows
-# at prefetch trigger points.  These tests pin the planner's invariants
-# on its edge cases and the driver's fallback behaviour.
+# The batch engine plans each replay (kernel eligibility plus the CSR
+# trigger alignment) before running it.  These tests pin the planner on
+# its edge cases and the driver's fallback behaviour.
 
 from repro.sim.fast_engine.planner import (  # noqa: E402
     MAX_KERNEL_INSTR_ID,
-    Window,
     plan_replay,
-    segment_windows,
 )
 
 
@@ -283,68 +282,51 @@ def _mini_trace(ids_blocks, name="t"):
     return Trace(name=name, accesses=accesses, total_instructions=total)
 
 
-def _assert_tiling(windows, n, trigger_positions):
-    """The planner's documented invariants, checked wholesale."""
-    cursor = 0
-    for w in windows:
-        assert w.start == cursor and w.stop > w.start
-        cursor = w.stop
-    assert cursor == n
-    triggers = set(int(p) for p in trigger_positions)
-    seen_coupled = False
-    for w in windows:
-        if w.kind == "coupled":
-            assert w.start in triggers
-            seen_coupled = True
-        else:
-            assert w.kind == "free"
-            assert not seen_coupled  # free windows precede coupled ones
-
-
 def test_planner_empty_trace():
     trace = Trace(name="t", accesses=[], total_instructions=0)
     plan = plan_replay(trace.arrays(), {})
     assert plan.n == 0 and plan.kernel_eligible
-    assert plan.windows() == []
-    assert plan.free_accesses == 0
+    assert plan.pf_starts.tolist() == [0] and plan.pf_blocks.size == 0
     batch, reference = _both_engines(trace, ())
     assert batch == reference
 
 
 def test_planner_single_access_trace():
     trace = _mini_trace([(10, 1 << 20)])
-    # Prefetch-free: one free window spanning the whole (tiny) trace.
+    # Prefetch-free: an all-zero CSR row.
     plan = plan_replay(trace.arrays(), {})
-    assert plan.windows() == [Window(0, 1, "free")]
-    assert plan.free_accesses == 1
-    # Triggered on its only access: one coupled window, no free prefix.
+    assert plan.kernel_eligible and plan.fallback_reason is None
+    assert plan.pf_starts.tolist() == [0, 0] and plan.pf_blocks.size == 0
+    # Triggered on its only access.
     plan = plan_replay(trace.arrays(), {10: [1 << 21]})
-    assert plan.windows() == [Window(0, 1, "coupled")]
-    assert plan.free_accesses == 0
+    assert plan.pf_starts.tolist() == [0, 1]
+    assert plan.pf_blocks.tolist() == [1 << 21]
     batch, reference = _both_engines(
         trace, [PrefetchRequest(trigger_instr_id=10,
                                 address=(1 << 21) << 6)])
     assert batch == reference
 
 
-def test_planner_windows_tile_exactly():
+def test_planner_aligns_triggers_in_program_order():
     ids_blocks = [((k + 1) * 10, (1 << 20) + k) for k in range(20)]
     trace = _mini_trace(ids_blocks)
-    by_trigger = {50: [1 << 21], 120: [(1 << 21) + 1],
-                  200: [(1 << 21) + 2]}
+    # Dict order differs from program order; id 999 names no access.
+    by_trigger = {200: [(1 << 21) + 2], 50: [1 << 21],
+                  999: [1 << 22], 120: [(1 << 21) + 1, (1 << 21) + 3]}
     plan = plan_replay(trace.arrays(), by_trigger)
-    windows = plan.windows()
-    _assert_tiling(windows, 20, plan.trigger_positions)
-    # Positions 4, 11, 19 trigger; [0, 4) is the free prefix.
-    assert windows == [Window(0, 4, "free"), Window(4, 11, "coupled"),
-                       Window(11, 19, "coupled"), Window(19, 20, "coupled")]
-    assert plan.free_accesses == 4
+    assert plan.kernel_eligible
+    # Positions 4, 11, 19 trigger; the unknown id is dropped.
+    counts = [0] * 20
+    counts[4], counts[11], counts[19] = 1, 2, 1
+    assert plan.pf_starts.tolist() == list(accumulate([0] + counts))
+    assert plan.pf_blocks.tolist() == [1 << 21, (1 << 21) + 1,
+                                       (1 << 21) + 3, (1 << 21) + 2]
 
 
 def test_fill_on_window_boundary_is_bit_identical():
-    """A prefetch whose fill completes exactly when the next window's
-    first access dispatches: the boundary access belongs to a coupled
-    window, so the fill must be visible to it in every engine."""
+    """A prefetch whose fill completes exactly when a later trigger
+    access dispatches: the fill must be visible to that access in
+    every engine."""
     gap = 40  # wide instruction gap: fill completes before re-demand
     ids_blocks = [((k + 1) * gap, (1 << 20) + k) for k in range(30)]
     target = 1 << 21
@@ -364,8 +346,7 @@ def test_planner_rejects_non_monotone_ids():
     plan = plan_replay(trace.arrays(), {})
     assert not plan.kernel_eligible
     assert "monotone" in plan.fallback_reason
-    assert plan.windows() == [Window(0, 3, "coupled")]
-    assert plan.free_accesses == 0
+    assert plan.pf_blocks.size == 0
     # The replay still runs (reference fallback) and stays bit-identical.
     batch, reference = _both_engines(trace, ())
     assert batch == reference
@@ -387,19 +368,11 @@ def test_first_touch_prefetch_targets_stay_coupled():
     target = (1 << 20) + 5  # first-touched at position 5, prefetched at 0
     trace = _mini_trace(ids_blocks)
     plan = plan_replay(trace.arrays(), {10: [target]})
-    assert plan.free_accesses == 0  # trigger at position 0: no free span
-    assert plan.windows()[0].kind == "coupled"
+    assert plan.pf_starts.tolist() == [0] + [1] * 10
+    assert plan.pf_blocks.tolist() == [target]
     batch, reference = _both_engines(
         trace, [PrefetchRequest(trigger_instr_id=10, address=target << 6)])
     assert batch == reference
-
-
-def test_segment_windows_no_triggers_is_one_free_window():
-    import numpy as np
-
-    assert segment_windows(0, np.empty(0, dtype=np.int64)) == []
-    assert segment_windows(7, np.empty(0, dtype=np.int64)) == \
-        [Window(0, 7, "free")]
 
 
 def test_batch_without_kernel_falls_back_bit_identically(monkeypatch):
